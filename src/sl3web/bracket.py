@@ -4,13 +4,16 @@ The bracket of a closed web is computed by eliminating elliptic faces:
 a vertexless circle contributes a factor [3], a digon face a factor [2],
 and a square face splits the evaluation into the sum over its two
 smoothings.  Any elimination order gives the same value; the default
-order (circles, then the face whose orbit contains the smallest dart)
-is fixed so runs are reproducible, and a seeded order is available for
-exercising confluence.
+order (circles, then digons before squares, each time the face whose
+orbit contains the smallest dart) is fixed so runs are reproducible,
+and a seeded order is available for exercising confluence.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
-picture would draw as the outer region.
+picture would draw as the outer region.  split_elliptic runs the same
+elimination on webs with boundary, leaving alone the faces that touch
+the boundary; since non-elliptic webs form a basis, every order yields
+the same multiset of (non-elliptic web, degree shift).
 """
 
 from __future__ import annotations
@@ -20,172 +23,49 @@ from random import Random
 
 from .errors import BoundaryMismatchError, TheoremViolationError
 from .laurent import LaurentPoly, quantum_integer
-from .web import (
-    Region,
-    Web,
-    _Maps,
-    closure,
-    find_elliptic_face,
-    make_web,
-    region_table,
-    require_valid,
-    splice_edges,
-)
+from .web import DartMap, Region, Web, closure, require_valid
 
 QINT2 = quantum_integer(2)
 QINT3 = quantum_integer(3)
 
 
-class _Scratch:
-    """Mutable rotation system for the reduction loop (closed webs)."""
-
-    __slots__ = ("rot", "vertex_of", "partner", "circles")
-
-    def __init__(self, rot, vertex_of, partner, circles):
-        self.rot = rot
-        self.vertex_of = vertex_of
-        self.partner = partner
-        self.circles = circles
-
-    @classmethod
-    def from_web(cls, web: Web) -> "_Scratch":
-        rot = {vid: r for vid, _k, r in web.vertices}
-        vertex_of = {h: vid for vid, _k, r in web.vertices for h in r}
-        partner = {}
-        for t, h in web.edges:
-            partner[t] = h
-            partner[h] = t
-        return cls(rot, vertex_of, partner, web.circles)
-
-    def copy(self) -> "_Scratch":
-        return _Scratch(dict(self.rot), dict(self.vertex_of), dict(self.partner), self.circles)
-
-    def faces(self):
-        succ = {}
-        for r in self.rot.values():
-            for i, h in enumerate(r):
-                succ[h] = r[(i + 1) % 3]
-        seen = set()
-        orbits = []
-        for d in self.partner:
-            if d in seen:
-                continue
-            orbit = []
-            x = d
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = succ[self.partner[x]]
-            orbits.append(orbit)
-        return orbits
-
-    def elliptic_orbits(self):
-        """Digon and square orbits, smallest first for reproducibility."""
-        found = [o for o in self.faces() if len(o) in (2, 4)]
-        found.sort(key=lambda o: (len(o), min(o)))
-        return found
-
-    def smash(self, dead_vertices, joins):
-        """Delete the given vertices; `joins` pairs up the half-edges at
-        dead vertices whose strands run on into each other.  Edges both of
-        whose halves die unpaired disappear; chains of joined strands get
-        spliced, and chains that close up become circles."""
-        link = {}
-        for u, v in joins:
-            link[u] = v
-            link[v] = u
-        dead_halves = {h for v in dead_vertices for h in self.rot[v]}
-        for h in dead_halves:
-            if h not in link and self.partner[h] not in dead_halves:
-                raise AssertionError("reduction would orphan a living half-edge")
-
-        # reconnect strands that enter the dead zone and come back out
-        for x in list(self.partner):
-            if x in dead_halves or self.partner[x] not in link:
-                continue
-            p = self.partner[x]
-            while True:
-                hop = link[p]
-                q = self.partner[hop]
-                if q not in link:
-                    break
-                p = q
-            if q not in dead_halves:
-                self.partner[x] = q
-                self.partner[q] = x
-        # chains that never surface are closed strands; each such loop is
-        # walked once per direction, so halve the count at the end
-        seen = set()
-        closed_walks = 0
-        for u in link:
-            if u in seen or self.partner[u] not in link:
-                continue
-            closed = True
-            x = u
-            while x not in seen:
-                seen.add(x)
-                nxt = self.partner[link[x]]
-                if nxt not in link:
-                    closed = False
-                    break
-                x = nxt
-            if closed:
-                closed_walks += 1
-        self.circles += closed_walks // 2
-
-        for v in dead_vertices:
-            del self.rot[v]
-        for h in dead_halves:
-            del self.vertex_of[h]
-            self.partner.pop(h, None)
-        for h, p in list(self.partner.items()):
-            if p in dead_halves:
-                del self.partner[h]
-
-    def digon_data(self, orbit):
-        h, k = orbit
-        a = self.vertex_of[h]
-        b = self.vertex_of[k]
-        at_a = {h, self.partner[k]}
-        at_b = {k, self.partner[h]}
-        (s_a,) = [x for x in self.rot[a] if x not in at_a]
-        (s_b,) = [x for x in self.rot[b] if x not in at_b]
-        return (a, b), (s_a, s_b)
-
-    def square_data(self, orbit):
-        corners = [self.vertex_of[d] for d in orbit]
-        spokes = []
-        for i, d in enumerate(orbit):
-            sides = {d, self.partner[orbit[i - 1]]}
-            (s,) = [x for x in self.rot[corners[i]] if x not in sides]
-            spokes.append(s)
-        return corners, spokes
+def _smoothings(spokes):
+    """The two ways to join a square's four spokes in adjacent pairs."""
+    a, b, c, d = spokes
+    return [(a, b), (c, d)], [(b, c), (d, a)]
 
 
-def _eval(s: _Scratch, rng: Random | None) -> LaurentPoly:
-    value = LaurentPoly.one()
-    while True:
-        if s.circles:
-            value = value * QINT3 ** s.circles
-            s.circles = 0
-        orbits = s.elliptic_orbits()
+def _eliminate(web: Web, rng: Random | None = None):
+    """Eliminate every circle, digon and square face that touches no
+    boundary half-edge; yield the leaves as (map, multiplier).
+
+    A circle multiplies by [3], a digon by [2], and a square splits into
+    its two smoothings.  The worklist is last in, first out, so only one
+    pending copy per square on the current path is held.
+    """
+    work = [(DartMap(web), LaurentPoly.one())]
+    while work:
+        m, mult = work.pop()
+        if m.circles:
+            mult = mult * QINT3 ** m.circles
+            m.circles = 0
+        orbits = [o for o in m.inner_faces() if len(o) in (2, 4)]
         if not orbits:
-            if s.rot:
-                raise TheoremViolationError(
-                    "closed web with vertices but no circle, digon or square face"
-                )
-            return value
+            yield m, mult
+            continue
+        orbits.sort(key=lambda o: (len(o), min(o)))
         orbit = orbits[0] if rng is None else rng.choice(orbits)
+        corners, sp = m.spokes(orbit)
         if len(orbit) == 2:
-            (a, b), (s_a, s_b) = s.digon_data(orbit)
-            s.smash((a, b), [(s_a, s_b)])
-            value = value * QINT2
+            m.splice(corners, [(sp[0], sp[1])])
+            work.append((m, mult * QINT2))
         else:
-            corners, sp = s.square_data(orbit)
-            other = s.copy()
-            s.smash(corners, [(sp[0], sp[1]), (sp[2], sp[3])])
-            other.smash(corners, [(sp[1], sp[2]), (sp[3], sp[0])])
-            return value * (_eval(s, rng) + _eval(other, rng))
+            first, second = _smoothings(sp)
+            other = m.copy()
+            other.splice(corners, second)
+            work.append((other, mult))
+            m.splice(corners, first)
+            work.append((m, mult))
 
 
 def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
@@ -199,7 +79,14 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
             "the bracket evaluates closed webs; this one has boundary points"
         )
     require_valid(web)
-    return _eval(_Scratch.from_web(web), rng)
+    value = LaurentPoly.zero()
+    for m, mult in _eliminate(web, rng):
+        if m.rot:
+            raise TheoremViolationError(
+                "closed web with vertices but no circle, digon or square face"
+            )
+        value = value + mult
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -212,55 +99,26 @@ def remove_circle(web: Web) -> Web:
     return Web(web.boundary, web.vertices, web.edges, web.circles - 1)
 
 
-def _spokes_of(web: Web, maps: _Maps, walk):
-    """Corner vertices and the spoke half-edge at each corner of a
-    digon or square face walk."""
-    corners = []
-    spokes = []
-    for i, d in enumerate(walk):
-        vid = maps.endpoint[d][1]
-        sides = {d, maps.partner[walk[i - 1]]}
-        (s,) = [x for x in maps.rot[vid] if x not in sides]
-        corners.append(vid)
-        spokes.append(s)
-    return corners, spokes
-
-
-def _rebuild(web: Web, maps: _Maps, dead, links) -> Web:
-    """Delete the dead vertices; edges both of whose halves die unlinked
-    disappear, everything else is spliced along `links`."""
-    anchored = {h for vid, _k, rot in web.vertices if vid not in dead for h in rot}
-    anchored |= {h for h, _s in web.boundary}
-    dead_halves = {h for v in dead for h in maps.rot[v]}
-    linked = {h for pair in links for h in pair}
-    drop = {
-        i
-        for i, (t, h) in enumerate(web.edges)
-        if t in dead_halves and h in dead_halves and t not in linked and h not in linked
-    }
-    new_edges, circ = splice_edges(web.edges, anchored, links, drop)
-    vertices = [v for v in web.vertices if v[0] not in dead]
-    return make_web(web.boundary, vertices, new_edges, web.circles + circ)
-
-
 def collapse_digon(web: Web, region: Region) -> Web:
     """Remove a digon face: delete its two edges and two corners and run
     the outer strands into each other."""
-    maps = _Maps(web)
+    m = DartMap(web)
     (walk,) = region.walks
-    corners, spokes = _spokes_of(web, maps, walk)
-    return _rebuild(web, maps, set(corners), [(spokes[0], spokes[1])])
+    corners, spokes = m.spokes(walk)
+    m.splice(corners, [(spokes[0], spokes[1])])
+    return m.to_web()
 
 
 def smooth_square(web: Web, region: Region) -> tuple[Web, Web]:
     """The two smoothings of a square face: corners and sides vanish and
     the four spokes join in adjacent pairs, one way or the other."""
-    maps = _Maps(web)
+    first = DartMap(web)
+    second = first.copy()
     (walk,) = region.walks
-    corners, sp = _spokes_of(web, maps, walk)
-    first = _rebuild(web, maps, set(corners), [(sp[0], sp[1]), (sp[2], sp[3])])
-    second = _rebuild(web, maps, set(corners), [(sp[1], sp[2]), (sp[3], sp[0])])
-    return first, second
+    corners, spokes = first.spokes(walk)
+    for smoothed, links in zip((first, second), _smoothings(spokes)):
+        smoothed.splice(corners, links)
+    return first.to_web(), second.to_web()
 
 
 def split_elliptic(web: Web) -> list[tuple[Web, int]]:
@@ -274,23 +132,10 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     """
     require_valid(web)
     out: list[tuple[Web, int]] = []
-    stack: list[tuple[Web, int]] = [(web, 0)]
-    while stack:
-        w, shift = stack.pop()
-        hit = find_elliptic_face(w)
-        if hit is None:
-            out.append((w, shift))
-            continue
-        kind, region = hit
-        if kind == "circle":
-            w2 = remove_circle(w)
-            stack.extend([(w2, shift - 2), (w2, shift), (w2, shift + 2)])
-        elif kind == "digon":
-            w2 = collapse_digon(w, region)
-            stack.extend([(w2, shift - 1), (w2, shift + 1)])
-        else:
-            a, b = smooth_square(w, region)
-            stack.extend([(a, shift), (b, shift)])
+    for m, mult in _eliminate(web):
+        piece = m.to_web()
+        for shift, count in mult.items():
+            out += [(piece, shift)] * count
     out.sort(key=lambda ws: ws[1])
     return out
 

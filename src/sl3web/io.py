@@ -25,6 +25,12 @@ def _require(cond: bool, msg: str):
         raise InvalidWebError(msg)
 
 
+def _list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    _require(isinstance(value, list), f"{key} must be a list")
+    return value
+
+
 def _as_half(x, where: str) -> int:
     _require(isinstance(x, int) and not isinstance(x, bool), f"{where}: half-edge id must be an integer, got {x!r}")
     return x
@@ -38,7 +44,7 @@ def web_from_json(data) -> Web:
     _require(not unknown, f"unknown fields: {sorted(unknown)}")
 
     boundary = []
-    for i, entry in enumerate(data.get("boundary", [])):
+    for i, entry in enumerate(_list(data, "boundary")):
         _require(isinstance(entry, dict), f"boundary[{i}] must be an object")
         _require(
             set(entry) == {"half_edge", "sign"},
@@ -49,7 +55,7 @@ def web_from_json(data) -> Web:
         boundary.append((_as_half(entry["half_edge"], f"boundary[{i}]"), sign))
 
     vertices = []
-    for i, entry in enumerate(data.get("vertices", [])):
+    for i, entry in enumerate(_list(data, "vertices")):
         _require(isinstance(entry, dict), f"vertices[{i}] must be an object")
         _require(
             set(entry) == {"id", "kind", "rotation"},
@@ -58,18 +64,21 @@ def web_from_json(data) -> Web:
         vid = entry["id"]
         _require(isinstance(vid, int) and not isinstance(vid, bool), f"vertices[{i}]: id must be an integer")
         kind = entry["kind"]
-        _require(kind in _KINDS, f"vertices[{i}]: kind must be 'sink' or 'source', got {kind!r}")
+        _require(
+            isinstance(kind, str) and kind in _KINDS,
+            f"vertices[{i}]: kind must be 'sink' or 'source', got {kind!r}",
+        )
         rot = entry["rotation"]
         _require(isinstance(rot, list) and len(rot) == 3, f"vertices[{i}]: rotation must list 3 half-edges")
         vertices.append((vid, _KINDS[kind], tuple(_as_half(h, f"vertices[{i}].rotation") for h in rot)))
 
     edges = []
-    for i, pair in enumerate(data.get("edges", [])):
+    for i, pair in enumerate(_list(data, "edges")):
         _require(isinstance(pair, list) and len(pair) == 2, f"edges[{i}] must be a [tail, head] pair")
         edges.append((_as_half(pair[0], f"edges[{i}]"), _as_half(pair[1], f"edges[{i}]")))
 
     circles = 0
-    for i, entry in enumerate(data.get("circles", [])):
+    for i, entry in enumerate(_list(data, "circles")):
         _require(isinstance(entry, dict), f"circles[{i}] must be an object")
         _require(
             "count" in entry and set(entry) <= {"count", "region_hint"},
@@ -101,6 +110,8 @@ def loads_web(text: str) -> Web:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidWebError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidWebError("not valid JSON: nested too deeply") from exc
     return web_from_json(data)
 
 
@@ -110,7 +121,11 @@ def dumps_web(web: Web) -> str:
 
 def load_web(path: str) -> Web:
     with open(path, encoding="utf-8") as fh:
-        return loads_web(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidWebError(f"{path}: not UTF-8 text: {exc}") from exc
+    return loads_web(text)
 
 
 def save_web(web: Web, path: str):

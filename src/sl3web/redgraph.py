@@ -26,20 +26,12 @@ import networkx as nx
 
 from .bracket import classify, split_elliptic
 from .errors import (
+    PairingError,
     SizeGuardError,
     StageMismatchError,
     TheoremViolationError,
 )
-from .web import (
-    Region,
-    RegionTable,
-    Web,
-    _Maps,
-    find_elliptic_face,
-    make_web,
-    region_table,
-    splice_edges,
-)
+from .web import DartMap, RegionTable, Web, _elliptic_face, region_table
 
 
 @dataclass(frozen=True)
@@ -240,6 +232,24 @@ def find_fitting_orientation(red: RedGraph):
 BRUTE_FORCE_EDGE_LIMIT = 20
 
 
+def _fitting_orientations(red: RedGraph, edges, caps):
+    """Every orientation of `edges` that keeps each face's in-degree
+    within `caps`, trying all 2^len(edges) in lexicographic order (bit 0
+    points an edge from its right region to its left one)."""
+    for bits in itertools.product((0, 1), repeat=len(edges)):
+        indeg = dict.fromkeys(caps, 0)
+        orientation = {}
+        for i, bit in zip(edges, bits):
+            a, b = red.dual.sides[i]
+            tail, head = (a, b) if bit == 0 else (b, a)
+            indeg[head] += 1
+            if indeg[head] > caps[head]:
+                break
+            orientation[i] = (tail, head)
+        else:
+            yield orientation
+
+
 def brute_force_fitting_orientation(red: RedGraph):
     """Try all 2^#edges orientations in lexicographic order; the slow
     twin of find_fitting_orientation for cross-checking."""
@@ -250,21 +260,7 @@ def brute_force_fitting_orientation(red: RedGraph):
     caps = {f: red.cap(f) for f in red.faces}
     if any(c < 0 for c in caps.values()):
         return None
-    for bits in itertools.product((0, 1), repeat=len(red.edges)):
-        indeg = {f: 0 for f in red.faces}
-        ok = True
-        orientation = {}
-        for i, bit in zip(red.edges, bits):
-            a, b = red.dual.sides[i]
-            tail, head = ((a, b) if bit == 0 else (b, a))
-            orientation[i] = (tail, head)
-            indeg[head] += 1
-            if indeg[head] > caps[head]:
-                ok = False
-                break
-        if ok:
-            return orientation
-    return None
+    return next(_fitting_orientations(red, red.edges, caps), None)
 
 
 COUNT_TOTAL_EDGE_LIMIT = 30
@@ -287,20 +283,7 @@ def count_fitting_orientations(red: RedGraph) -> int:
             raise SizeGuardError(
                 f"component with {len(edges)} edges; capped at {BRUTE_FORCE_EDGE_LIMIT}"
             )
-        found = 0
-        for bits in itertools.product((0, 1), repeat=len(edges)):
-            indeg = {f: 0 for f in comp}
-            ok = True
-            for i, bit in zip(edges, bits):
-                a, b = red.dual.sides[i]
-                head = b if bit == 0 else a
-                indeg[head] += 1
-                if indeg[head] > caps[head]:
-                    ok = False
-                    break
-            if ok:
-                found += 1
-        total *= found
+        total *= sum(1 for _ in _fitting_orientations(red, edges, caps))
     return total
 
 
@@ -340,22 +323,19 @@ def grey_halves(red: RedGraph, face: int) -> tuple[int, ...]:
     region = red.dual.table.regions[face]
     if region.is_circle_interior:
         return ()
-    maps = _Maps(red.dual.web)
+    m = DartMap(red.dual.web)
     fs = set(red.faces)
     (walk,) = region.walks
-    greys = []
-    for i, d in enumerate(walk):
-        vid = maps.endpoint[d][1]
-        if sum(c in fs for c in red.dual.corners[vid]) != 1:
-            continue
-        sides = {d, maps.partner[walk[i - 1]]}
-        (s,) = [x for x in maps.rot[vid] if x not in sides]
-        greys.append(s)
+    greys = [
+        s
+        for vid, s in zip(*m.spokes(walk))
+        if sum(c in fs for c in red.dual.corners[vid]) == 1
+    ]
     if len(greys) != red.ed(face):
         raise TheoremViolationError(
             f"face {face}: {len(greys)} grey half-edges but ed = {red.ed(face)}"
         )
-    directions = [maps.is_tail[s] for s in greys]
+    directions = [s in m.tail for s in greys]
     if any(directions[i] == directions[i - 1] for i in range(len(directions))) and greys:
         raise TheoremViolationError(
             f"face {face}: grey strand directions do not alternate"
@@ -396,21 +376,20 @@ def g_reduction(web: Web, red: RedGraph, pairing=None) -> Web:
     Deletes every web edge with a selected face on either side (and, for
     selected circle interiors, the circle itself), deletes the vertices
     those edges used, and splices the grey ends according to `pairing`
-    (default: the first enumerated one).
+    (default: the first enumerated one).  A pairing that does not join
+    every grey end exactly once raises PairingError.
     """
     if red.dual.web != web:
         raise StageMismatchError("red graph belongs to a different web")
     if pairing is None:
         pairing = enumerate_pairings(red)[0]
     fs = set(red.faces)
-    dead_edges = {
-        i for i, (a, b) in enumerate(red.dual.sides) if a in fs or b in fs
-    }
-    maps = _Maps(web)
+    m = DartMap(web)
     dead_vertices = {
-        maps.endpoint[x][1]
-        for i in dead_edges
-        for x in web.edges[i]
+        m.vertex_of[x]
+        for edge, (a, b) in zip(web.edges, red.dual.sides)
+        if a in fs or b in fs
+        for x in edge
     }
     grey_total = sum(red.ed(f) for f in red.faces)
     if len(dead_vertices) != 2 * len(red.edges) + grey_total:
@@ -418,18 +397,13 @@ def g_reduction(web: Web, red: RedGraph, pairing=None) -> Web:
             f"reduction removes {len(dead_vertices)} vertices, expected "
             f"2*{len(red.edges)} + {grey_total}"
         )
-    circle_faces = sum(
-        1 for f in red.faces if red.dual.table.regions[f].is_circle_interior
-    )
-    anchored = {
-        h for vid, _k, rot in web.vertices if vid not in dead_vertices for h in rot
-    }
-    anchored |= {h for h, _s in web.boundary}
-    new_edges, circ = splice_edges(web.edges, anchored, pairing, dead_edges)
-    vertices = [v for v in web.vertices if v[0] not in dead_vertices]
-    return make_web(
-        web.boundary, vertices, new_edges, web.circles - circle_faces + circ
-    )
+    # the splice drops an edge both of whose ends are cut and unlinked,
+    # so an omitted pair of grey ends on one edge is caught by counting
+    if 2 * len(pairing) != grey_total:
+        raise PairingError(f"{len(pairing)} pairs for {grey_total} grey ends")
+    m.circles -= sum(1 for f in red.faces if red.dual.table.regions[f].is_circle_interior)
+    m.splice(dead_vertices, pairing)
+    return m.to_web()
 
 
 def projection_degree_shift(red: RedGraph, pairing=None) -> int:
@@ -514,9 +488,9 @@ def find_exact_red_graph(web: Web) -> RedGraph | None:
     inadmissible red graph may have an index above every admissible one,
     and the minimal subgraph must come out exact.
     """
-    if find_elliptic_face(web) is not None:
-        raise ValueError("find_exact_red_graph expects a non-elliptic web")
     dual = dual_graph(web)
+    if _elliptic_face(dual.table) is not None:
+        raise ValueError("find_exact_red_graph expects a non-elliptic web")
     best = None
     max_nonneg = None
     for g in enumerate_red_graphs(web, dual):

@@ -112,34 +112,157 @@ def make_web(
 
 
 # ---------------------------------------------------------------------------
-# lookup tables
+# the dart map: one mutable rotation system behind every surgery
 
 
-class _Maps:
-    """Derived lookup tables for one web (endpoints, partners, rotations)."""
+class DartMap:
+    """A web's combinatorial map, open to delete-and-reconnect surgery.
+
+    Half-edge and vertex ids are the web's.  A surviving half-edge keeps
+    its vertex, its rotation successor and its role as tail or head, so
+    those tables, the vertex kinds and the boundary are shared between
+    copies; only the live rotations, the partner table and the circle
+    count belong to one copy.
+    """
+
+    __slots__ = ("kind", "rot", "vertex_of", "succ", "tail", "partner", "boundary", "circles")
 
     def __init__(self, web: Web):
-        self.web = web
         self.kind: dict[int, str] = {}
         self.rot: dict[int, tuple[int, ...]] = {}
-        self.endpoint: dict[int, tuple] = {}  # half -> ('v', vid) | ('b', pos)
+        self.vertex_of: dict[int, int] = {}
+        self.succ: dict[int, int] = {}  # next half-edge counterclockwise at its vertex
         for vid, kind, rot in web.vertices:
             self.kind[vid] = kind
             self.rot[vid] = rot
-            for h in rot:
-                self.endpoint[h] = ("v", vid)
-        for pos, (h, _s) in enumerate(web.boundary):
-            self.endpoint[h] = ("b", pos)
+            for i, h in enumerate(rot):
+                self.vertex_of[h] = vid
+                self.succ[h] = rot[(i + 1) % len(rot)]
+        self.tail = {t for t, _h in web.edges}
         self.partner: dict[int, int] = {}
-        self.is_tail: dict[int, bool] = {}
         for t, h in web.edges:
             self.partner[t] = h
             self.partner[h] = t
-            self.is_tail[t] = True
-            self.is_tail[h] = False
+        self.boundary = web.boundary
+        self.circles = web.circles
 
-    def halves(self) -> list[int]:
-        return list(self.endpoint)
+    def copy(self) -> "DartMap":
+        other = object.__new__(DartMap)
+        for name in ("kind", "vertex_of", "succ", "tail", "boundary", "circles"):
+            setattr(other, name, getattr(self, name))
+        other.rot = dict(self.rot)
+        other.partner = dict(self.partner)
+        return other
+
+    def to_web(self) -> Web:
+        return make_web(
+            self.boundary,
+            [(vid, self.kind[vid], rot) for vid, rot in self.rot.items()],
+            [(t, h) for t, h in self.partner.items() if t in self.tail],
+            self.circles,
+        )
+
+    def inner_faces(self) -> list[list[int]]:
+        """Face orbits that touch no boundary half-edge, each starting at
+        its earliest half-edge in partner-table order.  The splice updates
+        partners in place, so that order, and with it the elimination
+        order of a seeded bracket, is the order of the web's edges."""
+        seen: set[int] = set()
+        orbits = []
+        for d in self.partner:
+            if d in seen or d not in self.vertex_of:
+                continue
+            orbit = []
+            x = d
+            while x not in seen:
+                seen.add(x)
+                orbit.append(x)
+                p = self.partner[x]
+                if p not in self.vertex_of:
+                    break  # the walk reaches the boundary
+                x = self.succ[p]
+            else:
+                if x == d:  # closed up, not run into an earlier walk that reached the boundary
+                    orbits.append(orbit)
+        return orbits
+
+    def spokes(self, walk) -> tuple[list[int], list[int]]:
+        """Corner vertices of a face walk and the spoke at each corner, the
+        half-edge leading away from the face."""
+        return [self.vertex_of[d] for d in walk], [self.succ[d] for d in walk]
+
+    def splice(self, dead: Iterable[int], links: Iterable[tuple[int, int]]) -> None:
+        """Delete the vertices `dead` and reconnect the cut strands.
+
+        The cut ends are the half-edges at dead vertices plus any linked
+        half-edge that belongs to neither a vertex nor the boundary (a
+        free end, as in a closure).  Each link joins the head end of one
+        strand to the tail end of another.  An edge whose two halves are
+        both cut and unlinked vanishes; every other cut end must be
+        linked exactly once.  Chains of strands become single edges, and
+        chains that close up become vertexless circles.
+        """
+        cut = {h for v in dead for h in self.rot[v]}
+        border = {h for h, _s in self.boundary}
+
+        def loose(x):
+            return x in cut or (x in self.partner and x not in self.vertex_of and x not in border)
+
+        link: dict[int, int] = {}
+        for a, b in links:
+            for x in (a, b):
+                if not loose(x):
+                    raise PairingError(f"half-edge {x} is not a loose end")
+                if x in link:
+                    raise PairingError(f"half-edge {x} paired twice")
+            if a == b:
+                raise PairingError(f"half-edge {a} paired with itself")
+            if (a in self.tail) == (b in self.tail):
+                raise PairingError(f"pairing joins {a} to {b}, but both point the same way")
+            link[a] = b
+            link[b] = a
+        cut.update(link)
+        unpaired = [
+            x for x in cut
+            if x not in link and (self.partner[x] not in cut or self.partner[x] in link)
+        ]
+        if unpaired:
+            raise PairingError(f"unpaired loose half-edges: {sorted(unpaired)}")
+
+        done: set[int] = set()
+        for u in link:
+            p = self.partner[u]
+            if p in cut or u in done:
+                continue
+            x = u
+            while True:
+                done.add(x)
+                done.add(link[x])
+                q = self.partner[link[x]]
+                if q not in cut:
+                    break
+                x = q
+            self.partner[p] = q
+            self.partner[q] = p
+        for u in link:
+            if u in done:
+                continue
+            self.circles += 1
+            x = u
+            while x not in done:
+                done.add(x)
+                done.add(link[x])
+                x = self.partner[link[x]]
+        for v in dead:
+            del self.rot[v]
+        for h in cut:
+            del self.partner[h]
+
+
+def _node(m: DartMap, h: int) -> tuple:
+    """The endpoint of a half-edge for connectivity: its vertex, or the
+    border circle that holds every boundary point."""
+    return ("v", m.vertex_of[h]) if h in m.vertex_of else ("border",)
 
 
 def _dart_key(d) -> tuple:
@@ -147,7 +270,7 @@ def _dart_key(d) -> tuple:
     return (0, d) if isinstance(d, int) else (1, d[1], d[2])
 
 
-def _face_orbits(web: Web, maps: _Maps):
+def _face_orbits(web: Web, m: DartMap):
     """Face orbits of the border-augmented map.
 
     The border line is closed into a circle by one return arc below, so
@@ -156,15 +279,8 @@ def _face_orbits(web: Web, maps: _Maps):
     last two are None for closed webs.
     """
     n = web.boundary_length
-    succ: dict = {}  # dart -> next dart counterclockwise around its endpoint
-    alpha: dict = {}
-    for vid, _k, rot in web.vertices:
-        m = len(rot)
-        for i, h in enumerate(rot):
-            succ[h] = rot[(i + 1) % m]
-    for t, h in web.edges:
-        alpha[t] = h
-        alpha[h] = t
+    succ: dict = dict(m.succ)  # dart -> next dart counterclockwise around its endpoint
+    alpha: dict = dict(m.partner)
     for j in range(n):
         fwd = ("s", j, 0)
         bwd = ("s", j, 1)
@@ -201,8 +317,8 @@ def _face_orbits(web: Web, maps: _Maps):
     return orbits, lower, unbounded
 
 
-def _components(web: Web, maps: _Maps) -> dict:
-    """Map every endpoint ('v', vid) / ('b', pos) to a component id.
+def _components(web: Web, m: DartMap) -> dict:
+    """Map every endpoint ('v', vid) / ('border',) to a component id.
 
     All border positions belong to one component (the border circle).
     """
@@ -224,11 +340,7 @@ def _components(web: Web, maps: _Maps) -> dict:
     if web.boundary:
         parent[("border",)] = ("border",)
     for t, h in web.edges:
-        a = maps.endpoint[t]
-        b = maps.endpoint[h]
-        a = ("border",) if a[0] == "b" else a
-        b = ("border",) if b[0] == "b" else b
-        union(a, b)
+        union(_node(m, t), _node(m, h))
     return {x: find(x) for x in parent}
 
 
@@ -288,40 +400,36 @@ def validate(web: Web) -> list[str]:
     if problems:
         return problems
 
-    maps = _Maps(web)
+    m = DartMap(web)
+    border = {h: (pos, s) for pos, (h, s) in enumerate(web.boundary)}
     for t, h in web.edges:
-        et, eh = maps.endpoint[t], maps.endpoint[h]
-        if et[0] == "v" and maps.kind[et[1]] != SOURCE:
-            problems.append(f"edge ({t},{h}): tail at vertex {et[1]} which is a {maps.kind[et[1]]}")
-        if eh[0] == "v" and maps.kind[eh[1]] != SINK:
-            problems.append(f"edge ({t},{h}): head at vertex {eh[1]} which is a {maps.kind[eh[1]]}")
-        if et[0] == "b" and web.boundary[et[1]][1] != PLUS:
-            problems.append(f"boundary {et[1]}: sign '-' but its half-edge {t} is an edge tail")
-        if eh[0] == "b" and web.boundary[eh[1]][1] != MINUS:
-            problems.append(f"boundary {eh[1]}: sign '+' but its half-edge {h} is an edge head")
+        for x, role, kind, sign in ((t, "tail", SOURCE, PLUS), (h, "head", SINK, MINUS)):
+            if x in m.vertex_of:
+                vid = m.vertex_of[x]
+                if m.kind[vid] != kind:
+                    problems.append(f"edge ({t},{h}): {role} at vertex {vid} which is a {m.kind[vid]}")
+            elif border[x][1] != sign:
+                pos, s = border[x]
+                problems.append(f"boundary {pos}: sign {s!r} but its half-edge {x} is an edge {role}")
 
     if problems:
         return problems
 
     # Euler count: each component of the augmented map must be a sphere map.
-    orbits, _, _ = _face_orbits(web, maps)
-    comp = _components(web, maps)
+    orbits, _, _ = _face_orbits(web, m)
+    comp = _components(web, m)
     counts: dict = {}
     for x, root in comp.items():
         if x[0] in ("v", "border"):
             c = counts.setdefault(root, [0, 0, 0])  # V, E, F
             c[0] += web.boundary_length if x == ("border",) else 1
-    for t, h in web.edges:
-        a = maps.endpoint[t]
-        a = ("border",) if a[0] == "b" else a
-        counts[comp[a]][1] += 1
+    for t, _h in web.edges:
+        counts[comp[_node(m, t)]][1] += 1
     if web.boundary:
         counts[comp[("border",)]][1] += web.boundary_length  # border segments
     for orbit in orbits:
         d = orbit[0]
-        a = ("border",) if not isinstance(d, int) else maps.endpoint[d]
-        a = ("border",) if a[0] == "b" else a
-        counts[comp[a]][2] += 1
+        counts[comp[_node(m, d) if isinstance(d, int) else ("border",)]][2] += 1
     for root, (v, e, f) in counts.items():
         if v - e + f != 2:
             problems.append(
@@ -389,17 +497,13 @@ def region_table(web: Web) -> RegionTable:
     invariant depends on.
     """
     require_valid(web)
-    maps = _Maps(web)
-    orbits, lower, unbounded_idx = _face_orbits(web, maps)
-    comp = _components(web, maps)
+    m = DartMap(web)
+    orbits, lower, unbounded_idx = _face_orbits(web, m)
+    comp = _components(web, m)
 
     def orbit_component(orbit):
-        for d in orbit:
-            if isinstance(d, int):
-                e = maps.endpoint[d]
-                return comp[("border",) if e[0] == "b" else e]
-            return comp[("border",)]
-        raise AssertionError("empty orbit")
+        d = orbit[0]
+        return comp[_node(m, d) if isinstance(d, int) else ("border",)]
 
     outer_orbits: set[int] = set()
     if unbounded_idx is not None:
@@ -455,7 +559,7 @@ def region_table(web: Web) -> RegionTable:
         rid = len(regions)
         disk = False
         if not touches:
-            vs = [maps.endpoint[d][1] for d in walk]
+            vs = [m.vertex_of[d] for d in walk]
             disk = len(set(vs)) == len(vs)
         regions.append(
             Region(
@@ -500,7 +604,11 @@ def find_elliptic_face(web: Web):
     None when the web is non-elliptic.  Circles come first, then the disk
     face with the smallest region id, so reduction order is reproducible.
     """
-    table = region_table(web)
+    return _elliptic_face(region_table(web))
+
+
+def _elliptic_face(table: RegionTable):
+    """find_elliptic_face on a region table that is already built."""
     for r in table.regions:
         if r.is_circle_interior:
             return ("circle", r)
@@ -522,8 +630,7 @@ def is_boundary_connected(web: Web) -> bool:
         return True
     if not web.boundary:
         return False
-    maps = _Maps(web)
-    comp = _components(web, maps)
+    comp = _components(web, DartMap(web))
     border_root = comp[("border",)]
     return all(comp[("v", vid)] == border_root for vid, _k, _r in web.vertices)
 
@@ -583,76 +690,6 @@ def face_colouring(web: Web, base: int = 0) -> FaceColouring:
 
 
 # ---------------------------------------------------------------------------
-# splicing engine: delete parts of a web and reconnect loose strands
-
-
-def splice_edges(
-    edges: Sequence[tuple[int, int]],
-    anchored: set[int],
-    links: Iterable[tuple[int, int]],
-    drop: set[int] = frozenset(),
-) -> tuple[list[tuple[int, int]], int]:
-    """Merge edges along the given links between loose half-edges.
-
-    `edges` are surviving oriented edges (minus indices in `drop`);
-    half-edges not in `anchored` are loose ends that must each occur in
-    exactly one link.  Chains of edges become single edges; chains that
-    close up become vertexless circles.  Returns (new edges, circles).
-    """
-    surviving = [e for i, e in enumerate(edges) if i not in drop]
-    where: dict[int, tuple[int, str]] = {}
-    for i, (t, h) in enumerate(surviving):
-        where[t] = (i, "t")
-        where[h] = (i, "h")
-    loose = {x for e in surviving for x in e} - anchored
-
-    link: dict[int, int] = {}
-    for a, b in links:
-        for x in (a, b):
-            if x not in loose:
-                raise PairingError(f"half-edge {x} is not a loose end")
-            if x in link:
-                raise PairingError(f"half-edge {x} paired twice")
-        if a == b:
-            raise PairingError(f"half-edge {a} paired with itself")
-        link[a] = b
-        link[b] = a
-    if set(link) != loose:
-        missing = sorted(loose - set(link))
-        raise PairingError(f"unpaired loose half-edges: {missing}")
-
-    visited = [False] * len(surviving)
-    out: list[tuple[int, int]] = []
-    for i, (t, h) in enumerate(surviving):
-        if visited[i] or t in loose:
-            continue
-        visited[i] = True
-        cur = h
-        while cur in loose:
-            j, role = where[link[cur]]
-            if role != "t":
-                raise PairingError(
-                    f"pairing joins {cur} to {link[cur]}, but both point the same way"
-                )
-            visited[j] = True
-            cur = surviving[j][1]
-        out.append((t, cur))
-    circles = 0
-    for i in range(len(surviving)):
-        if visited[i]:
-            continue
-        circles += 1
-        j = i
-        while not visited[j]:
-            visited[j] = True
-            nxt, role = where[link[surviving[j][1]]]
-            if role != "t":
-                raise PairingError("pairing orientation clash on a closed strand")
-            j = nxt
-    return out, circles
-
-
-# ---------------------------------------------------------------------------
 # mirror and closure
 
 
@@ -705,9 +742,7 @@ def closure(w1: Web, w2: Web) -> Web:
     for t, h in w1.edges:
         edges.append((h + hoff, t + hoff))  # reversed orientation
 
-    anchored = {h for _v, _k, rot in vertices for h in rot}
-    links = [
-        (w2.boundary[i][0], w1.boundary[i][0] + hoff) for i in range(len(w2.boundary))
-    ]
-    new_edges, circ = splice_edges(edges, anchored, links)
-    return make_web((), vertices, new_edges, w1.circles + w2.circles + circ)
+    # both boundaries dropped: their half-edges are free ends for the splice
+    glued = DartMap(Web((), tuple(vertices), tuple(edges), w1.circles + w2.circles))
+    glued.splice((), [(b2, b1 + hoff) for (b2, _s2), (b1, _s1) in zip(w2.boundary, w1.boundary)])
+    return glued.to_web()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -28,7 +29,9 @@ from sl3web.catalog import (
     tripod,
 )
 from sl3web.errors import BoundaryMismatchError
+from sl3web.generate import canonical_form, generate_closed
 from sl3web.laurent import LaurentPoly, quantum_integer
+from sl3web.redgraph import enumerate_pairings, g_reduction, red_graph_from_faces
 from sl3web.web import Web, closure, find_elliptic_face
 
 Q2 = quantum_integer(2)
@@ -112,6 +115,35 @@ def test_split_elliptic_shift_bookkeeping():
         LaurentPoly.zero(),
     )
     assert total == bracket(cube())
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()
+
+
+def test_elimination_outputs_are_pinned():
+    # brackets of a seeded closed corpus that has circles, digons and squares
+    corpus = generate_closed(200, seed=7041)
+    assert _sha256("\n".join(str(bracket(w)) for w in corpus)) == (
+        "d2efbfb025f1f8aaccd10f7bb48a61a7cfbb78f070206bef5e227719cfde541c"
+    )
+
+    def pieces(web):
+        return sorted((canonical_form(p), s) for p, s in split_elliptic(web))
+
+    assert pieces(digon_arc()) == [(canonical_form(arc()), s) for s in (-1, 1)]
+    assert pieces(double_digon_arc()) == [(canonical_form(arc()), s) for s in (-2, 0, 0, 2)]
+    # the flower reduced along four faces leaves square faces next to its boundary
+    web = flower()
+    red = red_graph_from_faces(web, (12, 13, 14, 15))
+    want = [
+        "4923da24474ec50fe39a5fc3323427ec7a22c79aa3dfc2a4da7dbe8b1296cd3c",
+        "5daf54ddba76c5f43ddf47ee518c501fe5988cfd50224a2a3d5193686907bfb0",
+        "d196f2400a99ff02919f27f6845be6914f7ebb79a72f0a8ac36860fb9c60424d",
+        "5f8cd53cd1f7b5a155246d15ac46deaa8cef5da79a7eb3c65af6bd7f8d6e499b",
+    ]
+    for pairing, digest in zip(enumerate_pairings(red), want, strict=True):
+        assert _sha256(repr(pieces(g_reduction(web, red, pairing)))) == digest
 
 
 # -- hom pairings ---------------------------------------------------------------

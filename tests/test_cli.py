@@ -148,6 +148,12 @@ def test_missing_file_exit_code(capsys):
     assert main(["bracket", "/nonexistent/x.json"]) == 2
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["validate", str(path)]) == 2
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sl3web.cli", "generate", "+-"],

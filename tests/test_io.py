@@ -63,6 +63,10 @@ def test_circle_counts_add_up():
         lambda d: d["edges"].append([1]),
         lambda d: d.update(circles=[{"count": -1}]),
         lambda d: d.update(circles=[{"hint": 1}]),
+        lambda d: d.update(boundary=5),
+        lambda d: d.update(edges=None),
+        lambda d: d.update(circles=3),
+        lambda d: d["vertices"].append({"id": 9, "kind": [], "rotation": [1, 2, 3]}),
     ],
 )
 def test_malformed_documents_rejected(mangle):
@@ -72,11 +76,17 @@ def test_malformed_documents_rejected(mangle):
         loads_web(json.dumps(doc))
 
 
-def test_not_json_rejected():
+def test_not_json_rejected(tmp_path):
     with pytest.raises(InvalidWebError):
         loads_web("{")
     with pytest.raises(InvalidWebError):
         loads_web("[1, 2]")
+    with pytest.raises(InvalidWebError):
+        loads_web("[" * 100_000)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"boundary": [], "vertices": [], "edges": [], "circles": [\xff]}')
+    with pytest.raises(InvalidWebError):
+        load_web(str(path))
 
 
 def test_web_dot_mentions_every_vertex():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from sl3web.catalog import arc, cube, digon_arc, flower, theta, tripod
-from sl3web.errors import StageMismatchError
+from sl3web.errors import PairingError, StageMismatchError
 from sl3web.generate import canonical_form
 from sl3web.redgraph import (
     brute_force_fitting_orientation,
@@ -149,6 +149,26 @@ def test_g_reduction_flower_gives_six_caps():
     assert reduced.circles == 0
     assert reduced.signs == web.signs
     assert projection_degree_shift(petals) == 0
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        ({(2506, 1506): (999999, 1506)}, "not a loose end"),
+        ({(1801, 1901): (1801, 1506)}, "1506 paired twice"),
+        ({(1801, 1901): (1801, 1801)}, "paired with itself"),
+        # greys 1802 and 1902 left unpaired, the halves of a red edge joined instead
+        ({(1802, 1902): (1002, 1102)}, r"unpaired loose half-edges: \[1802, 1902\]"),
+        ({(1802, 1902): None}, "5 pairs for 12 grey ends"),
+        ({(2506, 1506): (2506, 1801), (1801, 1901): (1506, 1901)}, "point the same way"),
+    ],
+)
+def test_g_reduction_rejects_malformed_pairing(swap, message):
+    web = flower()
+    red = red_graph_from_faces(web, (12, 13, 14, 15))
+    pairing = [swap.get(pair, pair) for pair in enumerate_pairings(red)[0]]
+    with pytest.raises(PairingError, match=message):
+        g_reduction(web, red, [pair for pair in pairing if pair is not None])
 
 
 def test_g_reduction_rejects_foreign_red_graph():
