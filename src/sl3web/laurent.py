@@ -20,12 +20,17 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         c: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for e, a in items:
+        # a plain dict skips the Mapping ABC check, which is slow on the hot path
+        if type(coeffs) is dict or isinstance(coeffs, Mapping):
+            coeffs = coeffs.items()
+        for e, a in coeffs:
             if a:
-                c[int(e)] = c.get(int(e), 0) + int(a)
-                if not c[int(e)]:
-                    del c[int(e)]
+                e = int(e)
+                total = c.get(e, 0) + int(a)
+                if total:
+                    c[e] = total
+                else:
+                    c.pop(e, None)
         self._c = c
 
     # -- constructors ---------------------------------------------------

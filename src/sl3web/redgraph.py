@@ -22,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .bracket import classify, split_elliptic
 from .errors import (
     PairingError,
@@ -44,12 +42,19 @@ class DualGraph:
     table: RegionTable
     sides: tuple[tuple[int, int], ...]  # per web edge: (right region, left region)
     corners: dict[int, tuple[int, int, int]]  # vertex id -> its corner regions
+    degrees: tuple[int, ...]  # per region: web edge sides on its boundary
 
     def degree(self, region_id: int) -> int:
-        return sum((a == region_id) + (b == region_id) for a, b in self.sides)
+        return self.degrees[region_id]
 
     def disk_faces(self) -> list[int]:
         return [r.id for r in self.table.regions if r.is_disk]
+
+    @cached_property
+    def darts(self) -> DartMap:
+        """The web's dart map, shared by every red graph of this dual
+        graph; read it, never splice it."""
+        return DartMap(self.web)
 
 
 def dual_graph(web: Web) -> DualGraph:
@@ -60,7 +65,11 @@ def dual_graph(web: Web) -> DualGraph:
     corners = {
         vid: tuple(table.region_of[h] for h in rot) for vid, _k, rot in web.vertices
     }
-    return DualGraph(web, table, sides, corners)
+    degrees = [0] * len(table.regions)
+    for a, b in sides:
+        degrees[a] += 1
+        degrees[b] += 1
+    return DualGraph(web, table, sides, corners, tuple(degrees))
 
 
 class RedGraph:
@@ -184,11 +193,49 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
 # fitting orientations
 
 
+def _fit_heads(pairs, caps):
+    """A head for every edge (a, b) in `pairs`, a or b, with no face f
+    taking more than caps[f] heads; None when there is no such choice.
+
+    Edges are placed one at a time.  When both ends of a new edge are
+    full, a depth-first search on an explicit stack walks backwards along
+    edges already pointing into full faces until it meets a face with
+    room, then flips every edge on that path (Hakimi's augmenting path
+    for degree-constrained orientations).  Failing to place one edge
+    proves that no orientation fits: the search ends on a set of full
+    faces whose heads all come from edges inside the set, and the new
+    edge lies inside it too.
+    """
+    heads: list = []
+    into: dict = {f: [] for f in caps}  # face -> edges now pointing at it
+    for k, (a, b) in enumerate(pairs):
+        via = {a: None, b: None}  # face reached -> edge to flip into it
+        todo = [b, a]
+        while todo:
+            f = todo.pop()
+            if len(into[f]) < caps[f]:
+                break
+            for e in into[f]:
+                x, y = pairs[e]
+                g = y if x == f else x
+                if g not in via:
+                    via[g] = e
+                    todo.append(g)
+        else:
+            return None
+        while via[f] is not None:
+            e = via[f]
+            into[heads[e]].remove(e)
+            into[f].append(e)
+            heads[e], f = f, heads[e]
+        heads.append(f)
+        into[f].append(k)
+    return heads
+
+
 def find_fitting_orientation(red: RedGraph):
     """An orientation with indeg(f) <= cap(f) everywhere, or None.
 
-    Feasibility is a bipartite flow problem: a unit per edge must land on
-    one of its two endpoint faces without exceeding any face's capacity.
     The returned orientation maps edge index -> (tail face, head face)
     and is re-checked against the caps before being returned.
     """
@@ -197,33 +244,20 @@ def find_fitting_orientation(red: RedGraph):
         return None
     if len(red.edges) > sum(caps.values()):
         return None
-    g = nx.DiGraph()
-    for i in red.edges:
-        a, b = red.dual.sides[i]
-        g.add_edge("s", ("e", i), capacity=1)
-        g.add_edge(("e", i), ("f", a), capacity=1)
-        g.add_edge(("e", i), ("f", b), capacity=1)
-    for f in red.faces:
-        if caps[f] > 0:
-            g.add_edge(("f", f), "t", capacity=caps[f])
-    if not red.edges:
-        return {}
-    if "t" not in g:
+    pairs = [red.dual.sides[i] for i in red.edges]
+    heads = _fit_heads(pairs, caps)
+    if heads is None:
         return None
-    value, flow = nx.maximum_flow(g, "s", "t")
-    if value < len(red.edges):
-        return None
-    orientation = {}
-    for i in red.edges:
-        a, b = red.dual.sides[i]
-        into_a = flow[("e", i)].get(("f", a), 0)
-        orientation[i] = (b, a) if into_a else (a, b)
-    # independent re-check, not trusting the flow bookkeeping
+    orientation = {
+        i: (b if head == a else a, head)
+        for i, (a, b), head in zip(red.edges, pairs, heads)
+    }
+    # independent re-check, not trusting the solver's bookkeeping
     indeg = {f: 0 for f in red.faces}
     for i, (_tail, head) in orientation.items():
         indeg[head] += 1
     if any(indeg[f] > caps[f] for f in red.faces):
-        raise AssertionError("max-flow produced an overfull orientation")
+        raise AssertionError("the orientation solver produced an overfull orientation")
     if not red.is_fair():
         raise TheoremViolationError("admissible red graph with a face of ed > 4")
     return orientation
@@ -323,7 +357,7 @@ def grey_halves(red: RedGraph, face: int) -> tuple[int, ...]:
     region = red.dual.table.regions[face]
     if region.is_circle_interior:
         return ()
-    m = DartMap(red.dual.web)
+    m = red.dual.darts
     fs = set(red.faces)
     (walk,) = region.walks
     greys = [
@@ -384,7 +418,7 @@ def g_reduction(web: Web, red: RedGraph, pairing=None) -> Web:
     if pairing is None:
         pairing = enumerate_pairings(red)[0]
     fs = set(red.faces)
-    m = DartMap(web)
+    m = red.dual.darts.copy()
     dead_vertices = {
         m.vertex_of[x]
         for edge, (a, b) in zip(web.edges, red.dual.sides)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from random import Random
@@ -37,6 +38,7 @@ from .generate import (
 )
 from .laurent import LaurentPoly, quantum_integer
 from .redgraph import (
+    _reach,
     brute_force_fitting_orientation,
     count_fitting_orientations,
     decompose,
@@ -249,27 +251,20 @@ def _c5_flow_vs_brute(pool):
 def _girth(red) -> int | None:
     """Shortest cycle length in the red graph, None if acyclic.
     Parallel edges count as 2-cycles."""
-    import networkx as nx
-
-    g = nx.MultiGraph()
-    g.add_nodes_from(red.faces)
-    for i in red.edges:
-        a, b = red.dual.sides[i]
-        g.add_edge(a, b)
+    links = Counter(tuple(sorted(red.dual.sides[i])) for i in red.edges)
+    if any(n > 1 for n in links.values()):
+        return 2
+    neighbours: dict[int, list[int]] = {f: [] for f in red.faces}
+    for a, b in links:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
     best = None
-    simple = nx.Graph(g)
-    for a, b in simple.edges:
-        if g.number_of_edges(a, b) > 1:
-            best = 2
-    for src in simple.nodes:
+    for src in red.faces:
         dist = {src: 0}
         parent = {src: None}
         queue = [src]
-        k = 0
-        while k < len(queue):
-            u = queue[k]
-            k += 1
-            for v in simple.neighbors(u):
+        for u in queue:
+            for v in neighbours[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     parent[v] = u
@@ -282,8 +277,6 @@ def _girth(red) -> int | None:
 
 
 def _c6_structure(pool):
-    import networkx as nx
-
     admissible = 0
     minimal_checked = 0
     girth_checked = 0
@@ -304,12 +297,13 @@ def _c6_structure(pool):
         minimal = minimal_admissible_subgraph(red)
         minimal_checked += 1
         assert is_exact(minimal), minimal.faces
+        # strongly connected: one face reaches every face, forwards and backwards
         orientation = find_fitting_orientation(minimal)
-        dg = nx.DiGraph()
-        dg.add_nodes_from(minimal.faces)
-        for i, (src, dst) in orientation.items():
-            dg.add_edge(src, dst)
-        assert nx.is_strongly_connected(dg), minimal.faces
+        reverse = {i: (head, tail) for i, (tail, head) in orientation.items()}
+        start = minimal.faces[0]
+        everything = frozenset(minimal.faces)
+        assert _reach(minimal, orientation, start) == everything, minimal.faces
+        assert _reach(minimal, reverse, start) == everything, minimal.faces
     assert admissible > 0, "structure checks were vacuous"
     return (
         f"girth>=6 on {girth_checked} cyclic red graphs; {admissible} admissible, "

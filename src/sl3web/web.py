@@ -350,6 +350,13 @@ def _components(web: Web, m: DartMap) -> dict:
 
 def validate(web: Web) -> list[str]:
     """Return a list of violation messages; empty means the web is valid."""
+    return _validated(web)[0]
+
+
+def _validated(web: Web):
+    """validate(), also handing back what it builds on the way:
+    (problems, dart map, face orbits, components).  The last three are
+    None when the web fails before the planarity check."""
     problems: list[str] = []
 
     if web.circles < 0:
@@ -398,7 +405,7 @@ def validate(web: Web) -> list[str]:
             problems.append(f"half-edge {h} ({seen_halves[h]}) belongs to no edge")
 
     if problems:
-        return problems
+        return problems, None, None, None
 
     m = DartMap(web)
     border = {h: (pos, s) for pos, (h, s) in enumerate(web.boundary)}
@@ -413,10 +420,11 @@ def validate(web: Web) -> list[str]:
                 problems.append(f"boundary {pos}: sign {s!r} but its half-edge {x} is an edge {role}")
 
     if problems:
-        return problems
+        return problems, None, None, None
 
     # Euler count: each component of the augmented map must be a sphere map.
-    orbits, _, _ = _face_orbits(web, m)
+    faces = _face_orbits(web, m)
+    orbits = faces[0]
     comp = _components(web, m)
     counts: dict = {}
     for x, root in comp.items():
@@ -436,7 +444,7 @@ def validate(web: Web) -> list[str]:
                 f"planarity: component of {root} has Euler count {v - e + f} (expected 2); "
                 "the rotation system is not a plane embedding"
             )
-    return problems
+    return problems, m, faces, comp
 
 
 def require_valid(web: Web) -> None:
@@ -496,10 +504,10 @@ def region_table(web: Web) -> RegionTable:
     containing its smallest dart, a deterministic choice that no computed
     invariant depends on.
     """
-    require_valid(web)
-    m = DartMap(web)
-    orbits, lower, unbounded_idx = _face_orbits(web, m)
-    comp = _components(web, m)
+    problems, m, faces, comp = _validated(web)
+    if problems:
+        raise InvalidWebError("; ".join(problems))
+    orbits, lower, unbounded_idx = faces
 
     def orbit_component(orbit):
         d = orbit[0]

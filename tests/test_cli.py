@@ -154,6 +154,16 @@ def test_non_utf8_file_exit_code(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_cli_import_leaves_networkx_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sl3web.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sl3web.cli", "generate", "+-"],

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3web.catalog import arc, cube, digon_arc, flower, theta, tripod
 from sl3web.errors import PairingError, StageMismatchError
 from sl3web.generate import canonical_form
 from sl3web.redgraph import (
+    _fit_heads,
+    _fitting_orientations,
     brute_force_fitting_orientation,
     corner_selection_ok,
     count_fitting_orientations,
@@ -27,6 +33,7 @@ from sl3web.redgraph import (
     red_graph_from_faces,
     reduce_by_stack,
 )
+from sl3web.verify import _girth
 from sl3web.web import Web, validate
 
 
@@ -41,6 +48,12 @@ def test_dual_graph_shape():
     assert sorted(dual.disk_faces()) == [1, 2]
     # every vertex shows three corner regions
     assert all(len(c) == 3 for c in dual.corners.values())
+
+
+def test_dual_degree_table_counts_edge_sides():
+    dual = flower_dual()
+    for r in dual.table.regions:
+        assert dual.degree(r.id) == sum((a == r.id) + (b == r.id) for a, b in dual.sides)
 
 
 def test_corner_rule():
@@ -105,6 +118,72 @@ def test_flow_matches_brute_force_on_flower():
         flow = find_fitting_orientation(red)
         brute = brute_force_fitting_orientation(red)
         assert (flow is None) == (brute is None), red.faces
+
+
+def _stub_red(faces, pairs):
+    """Just enough of a red graph for _fitting_orientations and _girth."""
+    return SimpleNamespace(
+        faces=tuple(faces), edges=tuple(range(len(pairs))), dual=SimpleNamespace(sides=pairs)
+    )
+
+
+@st.composite
+def capped_multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    # two distinct ends per edge; repeats give parallel edges
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, max(n - 2, 0))).map(
+        lambda p: (p[0], p[1] + (p[1] >= p[0]))
+    )
+    pairs = draw(st.lists(ends, max_size=14)) if n > 1 else []
+    caps = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    return pairs, dict(enumerate(caps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_multigraphs())
+def test_orientation_solver_matches_brute_force(graph):
+    pairs, caps = graph
+    heads = _fit_heads(pairs, caps)
+    brute = next(_fitting_orientations(_stub_red(caps, pairs), range(len(pairs)), caps), None)
+    assert (heads is None) == (brute is None)
+    if heads is not None:
+        assert len(heads) == len(pairs)
+        assert all(head in pair for head, pair in zip(heads, pairs))
+        # like the brute force, a face with cap -1 just takes no head;
+        # find_fitting_orientation turns negative caps away before solving
+        assert all(heads.count(f) <= max(cap, 0) for f, cap in caps.items())
+
+
+def test_orientation_solver_reroutes_earlier_edges():
+    # the second edge fits only after the first is flipped from 0 to 1
+    assert _fit_heads([(0, 1), (0, 2)], {0: 1, 1: 1, 2: 0}) == [1, 0]
+    assert _fit_heads([(0, 1), (0, 1), (0, 1)], {0: 1, 1: 1}) is None
+
+
+def test_flower_exact_red_graph_and_girths_are_pinned():
+    # recorded with the networkx max-flow and girth; a different fitting
+    # orientation may be found, but these results may not move
+    web = flower()
+    assert find_exact_red_graph(web).faces == (12, 13, 14, 15, 16, 17)
+    girths = {red.faces: _girth(red) for red in enumerate_red_graphs(web)}
+    assert len(girths) == 81
+    assert {f: g for f, g in girths.items() if g is not None} == {(12, 13, 14, 15, 16, 17): 6}
+
+
+def test_girth_of_small_multigraphs():
+    assert _girth(_stub_red(range(3), [(0, 1), (1, 2)])) is None
+    assert _girth(_stub_red(range(3), [(0, 1), (1, 2), (2, 0)])) == 3
+    assert _girth(_stub_red(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)])) == 2
+
+
+def test_g_reduction_leaves_the_shared_dart_map_alone():
+    web = flower()
+    petals = next(r for r in enumerate_red_graphs(web) if is_admissible(r))
+    greys = [grey_halves(petals, f) for f in petals.faces]
+    partners = dict(petals.dual.darts.partner)
+    g_reduction(web, petals)
+    assert petals.dual.darts.partner == partners
+    assert [grey_halves(petals, f) for f in petals.faces] == greys
 
 
 def test_orientation_index_sum_is_orientation_independent():

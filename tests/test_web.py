@@ -29,6 +29,7 @@ from sl3web.web import (
     is_non_elliptic,
     make_web,
     mirror,
+    region_table,
     regions,
     require_valid,
     validate,
@@ -112,6 +113,17 @@ def test_validate_rejects_nonplanar_rotation():
     flipped = (v1[0], v1[1], tuple(reversed(v1[2])))
     bad = Web(good.boundary, (v0, flipped), good.edges, good.circles)
     assert any("Euler" in p for p in validate(bad))
+
+
+def test_region_table_rejects_what_validate_rejects():
+    good = theta()
+    (v0, v1) = good.vertices
+    nonplanar = Web(good.boundary, (v0, (v1[0], v1[1], tuple(reversed(v1[2])))), good.edges)
+    unmatched = Web(good.boundary, good.vertices, good.edges[1:])
+    for bad in (nonplanar, unmatched):
+        with pytest.raises(InvalidWebError) as err:
+            region_table(bad)
+        assert str(err.value) == "; ".join(validate(bad))
 
 
 # -- regions ------------------------------------------------------------------
