@@ -79,6 +79,11 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
             "the bracket evaluates closed webs; this one has boundary points"
         )
     require_valid(web)
+    return _evaluate(web, rng)
+
+
+def _evaluate(web: Web, rng: Random | None = None) -> LaurentPoly:
+    """The bracket of a closed web already known to be valid."""
     value = LaurentPoly.zero()
     for m, mult in _eliminate(web, rng):
         if m.rot:
@@ -151,7 +156,7 @@ def boundary_weight(signs) -> int:
 
 def hom_poly(w1: Web, w2: Web) -> LaurentPoly:
     """Bracket of the closure of w1's mirror against w2."""
-    return bracket(closure(w1, w2))
+    return _evaluate(closure(w1, w2))
 
 
 def hom_graded_dimension(w1: Web, w2: Web) -> LaurentPoly:

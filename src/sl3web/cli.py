@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("generate", cmd_generate, "non-elliptic webs over a sign string")
     p.add_argument("signs", help="boundary signs, e.g. '+--+'")
-    p.add_argument("--max-vertices", type=int, help="vertex budget; omit for provably all")
+    p.add_argument("--max-vertices", type=int, help="keep only webs with at most N vertices; omit for all")
     p.add_argument("--out", help="directory for the web files")
 
     p = add("verify", cmd_verify, "run the acceptance suite")

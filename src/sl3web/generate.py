@@ -1,40 +1,43 @@
 """Generation of webs.
 
-Non-elliptic webs over a sign string are built bottom-up with a frontier
-sweep.  The frontier holds the loose strand ends; a move either caps two
-adjacent opposite strands, joins two adjacent like strands in a new
-vertex, or bridges two adjacent opposite strands with a rung (an H).
-Every non-elliptic web admits such a construction: a non-elliptic web
-always carries a cap, a join vertex or an H against its border, and
-peeling it off keeps the web non-elliptic, so reversing the peeling
-order rebuilds the web with these three moves.
+Non-elliptic webs over a sign string are in bijection with the dominant
+lattice paths that invariant_dimension counts (Khovanov–Kuperberg, "Web
+bases for sl(3) are not dual canonical", arXiv:q-alg/9712046; see also
+Tymoczko, arXiv:1005.5231).  Each boundary point gets a state 1, 0 or
+-1; in fundamental-weight coordinates a '+' step adds (1,0), (-1,1) or
+(0,-1) and a '-' step adds (0,1), (1,-1) or (-1,0) for these states.  A
+state string is dominant when both coordinates stay nonnegative and the
+path ends at (0,0).
 
-Each gap between neighbouring frontier strands tracks how many edges its
-region has accumulated, so a branch is pruned the moment a move would
-seal a face with fewer than six sides.  Gaps that touch the border are
-flagged: sealing those makes border regions, which may be small.
+Each dominant state string grows into its web bottom-up.  The frontier
+holds the loose strand ends with their signs and states; at every step
+the leftmost adjacent pair whose left state exceeds the right one is
+closed off by one of three rules:
+
+- arc: opposite signs with states (1,-1) become a cap;
+- Y: like signs run into one new vertex, and the strand leaving it has
+  the flipped sign and state 1 for (1,0), -1 for (0,-1), 0 for (1,-1);
+- H: opposite signs with states (1,0) or (0,-1) are bridged by a rung,
+  and the two strands continue with swapped signs and states (0,1) or
+  (-1,0) respectively.
+
+Every rule keeps the frontier's state string dominant, so growth stops
+only at the empty frontier; a stuck frontier is a theorem violation.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from random import Random
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, TheoremViolationError
 from .web import MINUS, PLUS, SINK, SOURCE, Web, is_admissible_sequence, make_web
 
-
-@dataclass(frozen=True)
-class _State:
-    vertices: tuple  # (vid, kind, rotation) so far
-    edges: tuple  # completed (tail, head) pairs
-    frontier: tuple  # (anchor half below, sign) left to right
-    gaps: tuple  # (sides, touches_border), len(frontier) + 1
-
-
-def _flip(sign: str) -> str:
-    return MINUS if sign == PLUS else PLUS
+# (state, weight change) of a step, per sign
+_STEPS = {
+    PLUS: ((1, (1, 0)), (0, (-1, 1)), (-1, (0, -1))),
+    MINUS: ((1, (0, 1)), (0, (1, -1)), (-1, (-1, 0))),
+}
 
 
 def _complete(anchor: int, sign: str, at_vertex: int) -> tuple[int, int]:
@@ -43,72 +46,74 @@ def _complete(anchor: int, sign: str, at_vertex: int) -> tuple[int, int]:
     return (anchor, at_vertex) if sign == PLUS else (at_vertex, anchor)
 
 
-def _moves(state: _State, budget: int, nsigns: int):
-    """Yield successor states within the vertex budget."""
-    f = state.frontier
-    gaps = state.gaps
-    base = nsigns + len(state.vertices) * 3  # every vertex owns three halves
-    vid = len(state.vertices)
-    for i in range(len(f) - 1):
-        (a_l, s_l), (a_r, s_r) = f[i], f[i + 1]
-        inner_sides, inner_border = gaps[i + 1]
-        if s_l != s_r:
-            # cap: the two stubs become one edge arching over the sealed gap
-            if inner_border or inner_sides + 1 > 4:
-                edge = (a_l, a_r) if s_l == PLUS else (a_r, a_l)
-                merged = (gaps[i][0] + gaps[i + 2][0] + 1, gaps[i][1] or gaps[i + 2][1])
-                yield _State(
-                    state.vertices,
-                    state.edges + (edge,),
-                    f[:i] + f[i + 2 :],
-                    gaps[:i] + (merged,) + gaps[i + 3 :],
-                )
-            # H: two new vertices joined by a rung, stubs continue swapped
-            if len(state.vertices) + 2 <= budget and (inner_border or inner_sides + 3 > 4):
-                rungl, upl, hl, upr, rungr, hr = range(base, base + 6)
-                if s_l == PLUS:
-                    u = (vid, SINK, (rungl, upl, hl))
-                    v = (vid + 1, SOURCE, (upr, rungr, hr))
-                    rung = (rungr, rungl)
-                else:
-                    u = (vid, SOURCE, (rungl, upl, hl))
-                    v = (vid + 1, SINK, (upr, rungr, hr))
-                    rung = (rungl, rungr)
-                yield _State(
-                    state.vertices + (u, v),
-                    state.edges
-                    + (_complete(a_l, s_l, hl), _complete(a_r, s_r, hr), rung),
-                    f[:i] + ((upl, s_r), (upr, s_l)) + f[i + 2 :],
-                    gaps[:i]
-                    + (
-                        (gaps[i][0] + 1, gaps[i][1]),
-                        (1, False),
-                        (gaps[i + 2][0] + 1, gaps[i + 2][1]),
-                    )
-                    + gaps[i + 3 :],
-                )
+def _dominant_paths(signs):
+    """Yield every dominant state string over the signs as a tuple."""
+    n = len(signs)
+    # alive[i]: the weights after i steps from which (0,0) is reachable
+    alive = [set() for _ in range(n)] + [{(0, 0)}]
+    for i in range(n - 1, -1, -1):
+        for a, b in alive[i + 1]:
+            for _state, (da, db) in _STEPS[signs[i]]:
+                if a >= da and b >= db:
+                    alive[i].add((a - da, b - db))
+    stack = [((0, 0), ())] if (0, 0) in alive[0] else []
+    while stack:
+        (a, b), states = stack.pop()
+        i = len(states)
+        if i == n:
+            yield states
+            continue
+        for state, (da, db) in _STEPS[signs[i]]:
+            weight = (a + da, b + db)
+            if weight in alive[i + 1]:
+                stack.append((weight, states + (state,)))
+
+
+def _grow(signs, states) -> Web:
+    """The non-elliptic web of a dominant state string."""
+    n = len(signs)
+    frontier = [(h, s, t) for h, (s, t) in enumerate(zip(signs, states))]
+    vertices: list = []
+    edges: list = []
+    i = 0
+    while frontier:
+        while i + 1 < len(frontier) and frontier[i][2] <= frontier[i + 1][2]:
+            i += 1
+        if i + 1 == len(frontier):
+            raise TheoremViolationError(
+                f"growth of {''.join(signs)} with states {states} got stuck"
+            )
+        (a_l, s_l, t_l), (a_r, s_r, t_r) = frontier[i], frontier[i + 1]
+        base = n + len(vertices) * 3  # every vertex owns three halves
+        vid = len(vertices)
+        if s_l == s_r:
+            # Y: both strands run into one new vertex, one stub leaves
+            up, hl, hr = base, base + 1, base + 2
+            vertices.append((vid, SINK if s_l == PLUS else SOURCE, (up, hl, hr)))
+            edges += (_complete(a_l, s_l, hl), _complete(a_r, s_r, hr))
+            frontier[i : i + 2] = [(up, MINUS if s_l == PLUS else PLUS, t_l + t_r)]
+        elif t_l - t_r == 2:
+            # arc: the two stubs become one edge
+            edges.append((a_l, a_r) if s_l == PLUS else (a_r, a_l))
+            del frontier[i : i + 2]
         else:
-            # join: both strands run into one new vertex, one stub leaves
-            if len(state.vertices) + 1 <= budget and (inner_border or inner_sides + 2 > 4):
-                up, hl, hr = base, base + 1, base + 2
-                kind = SINK if s_l == PLUS else SOURCE
-                v = (vid, kind, (up, hl, hr))
-                yield _State(
-                    state.vertices + (v,),
-                    state.edges + (_complete(a_l, s_l, hl), _complete(a_r, s_r, hr)),
-                    f[:i] + ((up, _flip(s_l)),) + f[i + 2 :],
-                    gaps[:i]
-                    + (
-                        (gaps[i][0] + 1, gaps[i][1]),
-                        (gaps[i + 2][0] + 1, gaps[i + 2][1]),
-                    )
-                    + gaps[i + 3 :],
-                )
+            # H: two new vertices joined by a rung, stubs continue swapped
+            rungl, upl, hl, upr, rungr, hr = range(base, base + 6)
+            if s_l == PLUS:
+                vertices += [(vid, SINK, (rungl, upl, hl)), (vid + 1, SOURCE, (upr, rungr, hr))]
+                rung = (rungr, rungl)
+            else:
+                vertices += [(vid, SOURCE, (rungl, upl, hl)), (vid + 1, SINK, (upr, rungr, hr))]
+                rung = (rungl, rungr)
+            edges += (_complete(a_l, s_l, hl), _complete(a_r, s_r, hr), rung)
+            frontier[i : i + 2] = [(upl, s_r, t_r), (upr, s_l, t_l)]
+        i = max(i - 1, 0)  # pairs further left were checked and are unchanged
+    return make_web(boundary=enumerate(signs), vertices=vertices, edges=edges)
 
 
-def _relabel(boundary_halves, frontier_anchors, vertices, edges):
+def _relabel(start, vertices, edges):
     """Deterministic relabelling by breadth-first traversal seeded from
-    the border (and frontier, for partial webs)."""
+    the given half-edges."""
     partner = {}
     for t, h in edges:
         partner[t] = h
@@ -126,12 +131,9 @@ def _relabel(boundary_halves, frontier_anchors, vertices, edges):
             label[h] = len(label)
 
     queue = []
-    for h in boundary_halves:
+    for h in start:
         assign(h)
         queue.append(h)
-    for a in frontier_anchors:
-        assign(a)
-        queue.append(a)
     seen_v = set()
     k = 0
     while k < len(queue):
@@ -157,23 +159,6 @@ def _cyc(rot: tuple) -> tuple:
     return rot[k:] + rot[:k]
 
 
-def _state_key(state: _State, nsigns: int):
-    """Fingerprint that collides exactly when two histories have built
-    the same partial picture with the same frontier and gap data."""
-    label = _relabel(
-        range(nsigns), (a for a, _s in state.frontier), state.vertices, state.edges
-    )
-    vs = tuple(
-        sorted(
-            (min(label[h] for h in rot), kind, _cyc(tuple(label[h] for h in rot)))
-            for _vid, kind, rot in state.vertices
-        )
-    )
-    es = tuple(sorted((label[t], label[h]) for t, h in state.edges))
-    fr = tuple((label[a], s) for a, s in state.frontier)
-    return (vs, es, fr, state.gaps)
-
-
 def canonical_form(web: Web):
     """A relabelling-invariant fingerprint of a web.
 
@@ -182,11 +167,11 @@ def canonical_form(web: Web):
     web is empty).  Closed components make the result merely
     deterministic, which is all the random closed corpus needs.
     """
-    label = _relabel((h for h, _s in web.boundary), (), web.vertices, web.edges)
+    label = _relabel((h for h, _s in web.boundary), web.vertices, web.edges)
     for vid, _kind, rot in web.vertices:
         for h in rot:
             if h not in label:
-                extra = _relabel((h,), (), web.vertices, web.edges)
+                extra = _relabel((h,), web.vertices, web.edges)
                 for x, v in sorted(extra.items(), key=lambda kv: kv[1]):
                     if x not in label:
                         label[x] = len(label)
@@ -202,46 +187,37 @@ def canonical_form(web: Web):
 
 def generate_non_elliptic(
     signs,
-    max_vertices: int,
+    max_vertices: int | None = None,
     deadline: float | None = None,
 ) -> list[Web]:
-    """All non-elliptic webs with the given boundary signs and at most
-    max_vertices vertices, one representative per isomorphism class.
+    """All non-elliptic webs with the given boundary signs, one per
+    isomorphism class, sorted by canonical form; with max_vertices, only
+    those with at most that many vertices.
 
-    Raises SizeGuardError when `deadline` (a time.monotonic() value)
-    passes before the search space is exhausted.
+    Grows one web per dominant state string.  Two strings growing the
+    same web raise TheoremViolationError (the growth is a bijection);
+    SizeGuardError is raised when `deadline` (a time.monotonic() value)
+    passes before every string is grown.
     """
     signs = tuple(signs)
     if not is_admissible_sequence(signs):
         return []
-    n = len(signs)
-    start = _State(
-        vertices=(),
-        edges=(),
-        frontier=tuple(enumerate(signs)),
-        gaps=tuple((0, True) for _ in range(n + 1)),
-    )
-    seen = {_state_key(start, n)}
-    stack = [start]
     found: dict = {}
-    while stack:
+    for states in _dominant_paths(signs):
         if deadline is not None and time.monotonic() > deadline:
             raise SizeGuardError("generation budget exhausted")
-        state = stack.pop()
-        if not state.frontier:
-            web = make_web(
-                boundary=[(i, s) for i, s in enumerate(signs)],
-                vertices=state.vertices,
-                edges=state.edges,
+        web = _grow(signs, states)
+        key = canonical_form(web)
+        if key in found:
+            raise TheoremViolationError(
+                f"two state strings over {''.join(signs)} grow the same web"
             )
-            found.setdefault(canonical_form(web), web)
-            continue
-        for nxt in _moves(state, max_vertices, n):
-            key = _state_key(nxt, n)
-            if key not in seen:
-                seen.add(key)
-                stack.append(nxt)
-    return [found[k] for k in sorted(found)]
+        found[key] = web
+    return [
+        found[k]
+        for k in sorted(found)
+        if max_vertices is None or found[k].vertex_count <= max_vertices
+    ]
 
 
 def invariant_dimension(signs) -> int:
@@ -274,28 +250,17 @@ def invariant_dimension(signs) -> int:
 def generate_all_non_elliptic(signs, deadline: float | None = None) -> list[Web]:
     """Provably all non-elliptic webs over the signs, up to isomorphism.
 
-    Doubles the vertex budget until the number of webs found reaches
-    the invariant dimension, which it can never exceed (webs are a
-    basis); exceeding it raises TheoremViolationError, falling short
-    forever raises SizeGuardError at the deadline.
+    The webs are a basis of the invariant space, so their number must
+    equal its dimension; anything else raises TheoremViolationError.
     """
-    from .errors import TheoremViolationError
-
-    signs = tuple(signs)
+    webs = generate_non_elliptic(signs, None, deadline)
     want = invariant_dimension(signs)
-    if not is_admissible_sequence(signs):
-        return []
-    bound = max(4, len(signs))
-    while True:
-        webs = generate_non_elliptic(signs, bound, deadline=deadline)
-        if len(webs) > want:
-            raise TheoremViolationError(
-                f"{len(webs)} non-elliptic webs over {''.join(signs)} "
-                f"but the invariant space has dimension {want}"
-            )
-        if len(webs) == want:
-            return webs
-        bound *= 2
+    if len(webs) != want:
+        raise TheoremViolationError(
+            f"{len(webs)} non-elliptic webs over {''.join(signs)} "
+            f"but the invariant space has dimension {want}"
+        )
+    return webs
 
 
 # ---------------------------------------------------------------------------

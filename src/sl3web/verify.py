@@ -33,7 +33,6 @@ from .generate import (
     canonical_form,
     generate_all_non_elliptic,
     generate_closed,
-    generate_non_elliptic,
     invariant_dimension,
 )
 from .laurent import LaurentPoly, quantum_integer

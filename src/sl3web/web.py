@@ -730,7 +730,8 @@ def closure(w1: Web, w2: Web) -> Web:
     reflection reverses the orientation of the plane.
     """
     require_valid(w1)
-    require_valid(w2)
+    if w2 is not w1:
+        require_valid(w2)
     if w1.signs != w2.signs:
         raise BoundaryMismatchError(
             f"cannot glue boundaries {''.join(w1.signs)!r} and {''.join(w2.signs)!r}"

@@ -123,6 +123,13 @@ def test_generate(capsys, tmp_path):
     assert first.signs == tuple("+--+")
 
 
+def test_generate_max_vertices_filters(capsys):
+    code, out = run(capsys, "generate", "+--+", "--max-vertices", "0")
+    assert code == 0
+    assert "count: 1" in out
+    assert "exhaustive: no" in out
+
+
 def test_generate_rejects_garbage(capsys):
     assert main(["generate", "+x"]) == 2
 

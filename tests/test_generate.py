@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from sl3web.catalog import FLOWER_SIGNS, arc, digon_arc, flower, tripod
-from sl3web.errors import SizeGuardError
+from sl3web.errors import SizeGuardError, TheoremViolationError
 from sl3web.generate import (
+    _dominant_paths,
+    _grow,
     canonical_form,
     generate_all_non_elliptic,
     generate_closed,
@@ -15,6 +17,8 @@ from sl3web.generate import (
     invariant_dimension,
 )
 from sl3web.web import is_admissible_sequence, is_non_elliptic, validate
+
+import search_oracle
 
 
 def reference_dimension(signs) -> int:
@@ -138,3 +142,46 @@ def test_flower_is_found_by_growth():
     assert len(webs) == invariant_dimension(FLOWER_SIGNS) == 513
     target = canonical_form(flower())
     assert any(canonical_form(w) == target for w in webs)
+
+
+def _admissible(n):
+    return [s for s in itertools.product("+-", repeat=n) if is_admissible_sequence(s)]
+
+
+def test_growth_matches_search_oracle():
+    # the search generator this growth replaced, on every string up to length 8
+    for n in range(9):
+        for signs in _admissible(n):
+            grown = [canonical_form(w) for w in generate_all_non_elliptic(signs)]
+            found = [canonical_form(w) for w in search_oracle.generate_all_non_elliptic(signs)]
+            assert grown == found, signs
+
+
+def test_length_nine_is_a_basis():
+    for signs in _admissible(9):
+        webs = generate_all_non_elliptic(signs)
+        assert len(webs) == invariant_dimension(signs), signs
+        assert len({canonical_form(w) for w in webs}) == len(webs), signs
+        for w in webs:
+            assert validate(w) == []
+            assert is_non_elliptic(w)
+
+
+def test_max_vertices_filters_the_full_list():
+    full = generate_all_non_elliptic(FLOWER_SIGNS)
+    for k in (0, 6, 12, 24):
+        kept = [canonical_form(w) for w in full if w.vertex_count <= k]
+        assert [canonical_form(w) for w in generate_non_elliptic(FLOWER_SIGNS, k)] == kept
+
+
+def test_dominant_paths_count_the_invariant_dimension():
+    for n in range(11):
+        for signs in _admissible(n):
+            paths = list(_dominant_paths(signs))
+            assert len(set(paths)) == len(paths) == invariant_dimension(signs), signs
+
+
+def test_stuck_growth_is_a_theorem_violation():
+    # states (-1, 1) never close off: no pair has a larger left state
+    with pytest.raises(TheoremViolationError):
+        _grow(("+", "-"), (-1, 1))
