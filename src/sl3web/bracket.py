@@ -4,9 +4,10 @@ The bracket of a closed web is computed by eliminating elliptic faces:
 a vertexless circle contributes a factor [3], a digon face a factor [2],
 and a square face splits the evaluation into the sum over its two
 smoothings.  Any elimination order gives the same value; the default
-order (circles, then digons before squares, each time the face whose
-orbit contains the smallest dart) is fixed so runs are reproducible,
-and a seeded order is available for exercising confluence.
+order (digons before squares, each time the face whose orbit contains
+the smallest dart) is fixed so runs are reproducible, and a seeded
+order is available for exercising confluence.  Circles only count:
+each leaf of the elimination contributes [2]^digons [3]^circles.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
@@ -18,6 +19,7 @@ the same multiset of (non-elliptic web, degree shift).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -36,36 +38,41 @@ def _smoothings(spokes):
 
 
 def _eliminate(web: Web, rng: Random | None = None):
-    """Eliminate every circle, digon and square face that touches no
-    boundary half-edge; yield the leaves as (map, multiplier).
+    """Eliminate every digon and square face that touches no boundary
+    half-edge; yield the leaves as (map, digons removed).
 
-    A circle multiplies by [3], a digon by [2], and a square splits into
-    its two smoothings.  The worklist is last in, first out, so only one
-    pending copy per square on the current path is held.
+    Each leaf's value is [2]^digons [3]^circles, the circles left on its
+    map; a square splits into its two smoothings.  The worklist is last
+    in, first out, so only one pending copy per square on the current
+    path is held.
     """
-    work = [(DartMap(web), LaurentPoly.one())]
+    work = [(DartMap(web), 0)]
     while work:
-        m, mult = work.pop()
-        if m.circles:
-            mult = mult * QINT3 ** m.circles
-            m.circles = 0
-        orbits = [o for o in m.inner_faces() if len(o) in (2, 4)]
+        m, digons = work.pop()
+        vertex_of = m.vertex_of
+        orbits = [
+            o for o in m.faces() if len(o) in (2, 4) and all(d in vertex_of for d in o)
+        ]
         if not orbits:
-            yield m, mult
+            yield m, digons
             continue
         orbits.sort(key=lambda o: (len(o), min(o)))
         orbit = orbits[0] if rng is None else rng.choice(orbits)
         corners, sp = m.spokes(orbit)
         if len(orbit) == 2:
             m.splice(corners, [(sp[0], sp[1])])
-            work.append((m, mult * QINT2))
+            work.append((m, digons + 1))
         else:
             first, second = _smoothings(sp)
             other = m.copy()
             other.splice(corners, second)
-            work.append((other, mult))
+            work.append((other, digons))
             m.splice(corners, first)
-            work.append((m, mult))
+            work.append((m, digons))
+
+
+def _multiplier(digons: int, circles: int) -> LaurentPoly:
+    return QINT2**digons * QINT3**circles
 
 
 def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
@@ -84,13 +91,16 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
 
 def _evaluate(web: Web, rng: Random | None = None) -> LaurentPoly:
     """The bracket of a closed web already known to be valid."""
-    value = LaurentPoly.zero()
-    for m, mult in _eliminate(web, rng):
+    leaves: Counter = Counter()
+    for m, digons in _eliminate(web, rng):
         if m.rot:
             raise TheoremViolationError(
                 "closed web with vertices but no circle, digon or square face"
             )
-        value = value + mult
+        leaves[digons, m.circles] += 1
+    value = LaurentPoly.zero()
+    for (digons, circles), count in leaves.items():
+        value = value + _multiplier(digons, circles) * count
     return value
 
 
@@ -137,7 +147,9 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     """
     require_valid(web)
     out: list[tuple[Web, int]] = []
-    for m, mult in _eliminate(web):
+    for m, digons in _eliminate(web):
+        mult = _multiplier(digons, m.circles)
+        m.circles = 0
         piece = m.to_web()
         for shift, count in mult.items():
             out += [(piece, shift)] * count

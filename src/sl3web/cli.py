@@ -224,7 +224,6 @@ def cmd_verify(args) -> int:
     results = run_all(
         max_boundary=args.max_boundary,
         jobs=args.jobs,
-        stress_budget=args.stress_seconds,
         corpus_size=args.corpus_size,
     )
     if args.format == "structured":
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, "run the acceptance suite")
     p.add_argument("--max-boundary", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--stress-seconds", type=float, default=600.0)
     p.add_argument("--corpus-size", type=int, default=200)
 
     p = add("export", cmd_export, "write a web back out as JSON or DOT")

@@ -27,10 +27,9 @@ only at the empty frontier; a stuck frontier is a theorem violation.
 
 from __future__ import annotations
 
-import time
 from random import Random
 
-from .errors import SizeGuardError, TheoremViolationError
+from .errors import TheoremViolationError
 from .web import MINUS, PLUS, SINK, SOURCE, Web, is_admissible_sequence, make_web
 
 # (state, weight change) of a step, per sign
@@ -185,27 +184,19 @@ def canonical_form(web: Web):
     return (web.signs, vs, es, web.circles)
 
 
-def generate_non_elliptic(
-    signs,
-    max_vertices: int | None = None,
-    deadline: float | None = None,
-) -> list[Web]:
+def generate_non_elliptic(signs, max_vertices: int | None = None) -> list[Web]:
     """All non-elliptic webs with the given boundary signs, one per
     isomorphism class, sorted by canonical form; with max_vertices, only
     those with at most that many vertices.
 
     Grows one web per dominant state string.  Two strings growing the
-    same web raise TheoremViolationError (the growth is a bijection);
-    SizeGuardError is raised when `deadline` (a time.monotonic() value)
-    passes before every string is grown.
+    same web raise TheoremViolationError (the growth is a bijection).
     """
     signs = tuple(signs)
     if not is_admissible_sequence(signs):
         return []
     found: dict = {}
     for states in _dominant_paths(signs):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SizeGuardError("generation budget exhausted")
         web = _grow(signs, states)
         key = canonical_form(web)
         if key in found:
@@ -247,13 +238,13 @@ def invariant_dimension(signs) -> int:
     return state.get((0, 0, 0), 0)
 
 
-def generate_all_non_elliptic(signs, deadline: float | None = None) -> list[Web]:
+def generate_all_non_elliptic(signs) -> list[Web]:
     """Provably all non-elliptic webs over the signs, up to isomorphism.
 
     The webs are a basis of the invariant space, so their number must
     equal its dimension; anything else raises TheoremViolationError.
     """
-    webs = generate_non_elliptic(signs, None, deadline)
+    webs = generate_non_elliptic(signs)
     want = invariant_dimension(signs)
     if len(webs) != want:
         raise TheoremViolationError(

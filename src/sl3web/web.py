@@ -13,12 +13,12 @@ Sign convention at the border: '+' means the edge leaves the border
 
 Planarity is not re-derived from scratch: the rotation system is the
 embedding, and validation checks it is genus zero by an Euler count on
-every connected component of the border-augmented map.
+every connected component of the map, with the border counted as one
+more vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -118,11 +118,12 @@ def make_web(
 class DartMap:
     """A web's combinatorial map, open to delete-and-reconnect surgery.
 
-    Half-edge and vertex ids are the web's.  A surviving half-edge keeps
-    its vertex, its rotation successor and its role as tail or head, so
-    those tables, the vertex kinds and the boundary are shared between
-    copies; only the live rotations, the partner table and the circle
-    count belong to one copy.
+    Half-edge and vertex ids are the web's.  The border counts as one
+    more vertex, whose rotation runs right to left along the boundary.
+    A surviving half-edge keeps its vertex, its rotation successor and
+    its role as tail or head, so those tables, the vertex kinds and the
+    boundary are shared between copies; only the live rotations, the
+    partner table and the circle count belong to one copy.
     """
 
     __slots__ = ("kind", "rot", "vertex_of", "succ", "tail", "partner", "boundary", "circles")
@@ -131,13 +132,15 @@ class DartMap:
         self.kind: dict[int, str] = {}
         self.rot: dict[int, tuple[int, ...]] = {}
         self.vertex_of: dict[int, int] = {}
-        self.succ: dict[int, int] = {}  # next half-edge counterclockwise at its vertex
+        self.succ: dict[int, int] = {}  # next half-edge counterclockwise at its vertex or the border
         for vid, kind, rot in web.vertices:
             self.kind[vid] = kind
             self.rot[vid] = rot
             for i, h in enumerate(rot):
                 self.vertex_of[h] = vid
                 self.succ[h] = rot[(i + 1) % len(rot)]
+        for j, (h, _s) in enumerate(web.boundary):
+            self.succ[h] = web.boundary[j - 1][0]
         self.tail = {t for t, _h in web.edges}
         self.partner: dict[int, int] = {}
         for t, h in web.edges:
@@ -162,28 +165,27 @@ class DartMap:
             self.circles,
         )
 
-    def inner_faces(self) -> list[list[int]]:
-        """Face orbits that touch no boundary half-edge, each starting at
-        its earliest half-edge in partner-table order.  The splice updates
-        partners in place, so that order, and with it the elimination
-        order of a seeded bracket, is the order of the web's edges."""
+    def faces(self) -> list[list[int]]:
+        """Face orbits: from each half-edge, cross its edge and turn to the
+        next half-edge counterclockwise at the far end, the border being
+        one more vertex.  An orbit touches the border exactly when it
+        holds a boundary half-edge.  Each orbit starts at its earliest
+        half-edge in partner-table order; the splice updates partners in
+        place, so that order, and with it the elimination order of a
+        seeded bracket, is the order of the web's edges."""
+        succ, partner = self.succ, self.partner
         seen: set[int] = set()
         orbits = []
-        for d in self.partner:
-            if d in seen or d not in self.vertex_of:
+        for d in partner:
+            if d in seen:
                 continue
             orbit = []
             x = d
             while x not in seen:
                 seen.add(x)
                 orbit.append(x)
-                p = self.partner[x]
-                if p not in self.vertex_of:
-                    break  # the walk reaches the boundary
-                x = self.succ[p]
-            else:
-                if x == d:  # closed up, not run into an earlier walk that reached the boundary
-                    orbits.append(orbit)
+                x = succ[partner[x]]
+            orbits.append(orbit)
         return orbits
 
     def spokes(self, walk) -> tuple[list[int], list[int]]:
@@ -263,58 +265,6 @@ def _node(m: DartMap, h: int) -> tuple:
     """The endpoint of a half-edge for connectivity: its vertex, or the
     border circle that holds every boundary point."""
     return ("v", m.vertex_of[h]) if h in m.vertex_of else ("border",)
-
-
-def _dart_key(d) -> tuple:
-    # web darts are ints, border darts are ('s', i, j) tuples
-    return (0, d) if isinstance(d, int) else (1, d[1], d[2])
-
-
-def _face_orbits(web: Web, m: DartMap):
-    """Face orbits of the border-augmented map.
-
-    The border line is closed into a circle by one return arc below, so
-    border segment i joins border position i to position i+1 (cyclically).
-    Returns (orbits, lower_orbit_index, unbounded_orbit_index) where the
-    last two are None for closed webs.
-    """
-    n = web.boundary_length
-    succ: dict = dict(m.succ)  # dart -> next dart counterclockwise around its endpoint
-    alpha: dict = dict(m.partner)
-    for j in range(n):
-        fwd = ("s", j, 0)
-        bwd = ("s", j, 1)
-        alpha[fwd] = bwd
-        alpha[bwd] = fwd
-        # ccw at border point j: rightward segment, web half edge, leftward
-        order = (fwd, web.boundary[j][0], ("s", (j - 1) % n, 1))
-        for i, d in enumerate(order):
-            succ[d] = order[(i + 1) % 3]
-
-    psi = {d: succ[alpha[d]] for d in alpha}
-    seen: set = set()
-    orbits: list[list] = []
-    for d in sorted(psi, key=_dart_key):
-        if d in seen:
-            continue
-        orbit = []
-        x = d
-        while x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = psi[x]
-        orbits.append(orbit)
-
-    lower = unbounded = None
-    if n:
-        first_fwd = ("s", 0, 0)
-        last_bwd = ("s", n - 1, 1)
-        for i, orbit in enumerate(orbits):
-            if first_fwd in orbit:
-                lower = i
-            if last_bwd in orbit:
-                unbounded = i
-    return orbits, lower, unbounded
 
 
 def _components(web: Web, m: DartMap) -> dict:
@@ -422,29 +372,23 @@ def _validated(web: Web):
     if problems:
         return problems, None, None, None
 
-    # Euler count: each component of the augmented map must be a sphere map.
-    faces = _face_orbits(web, m)
-    orbits = faces[0]
+    # Euler count: each component, the border one vertex, must be a sphere map.
+    orbits = m.faces()
     comp = _components(web, m)
     counts: dict = {}
-    for x, root in comp.items():
-        if x[0] in ("v", "border"):
-            c = counts.setdefault(root, [0, 0, 0])  # V, E, F
-            c[0] += web.boundary_length if x == ("border",) else 1
+    for root in comp.values():
+        counts.setdefault(root, [0, 0, 0])[0] += 1  # V, E, F
     for t, _h in web.edges:
         counts[comp[_node(m, t)]][1] += 1
-    if web.boundary:
-        counts[comp[("border",)]][1] += web.boundary_length  # border segments
     for orbit in orbits:
-        d = orbit[0]
-        counts[comp[_node(m, d) if isinstance(d, int) else ("border",)]][2] += 1
+        counts[comp[_node(m, orbit[0])]][2] += 1
     for root, (v, e, f) in counts.items():
         if v - e + f != 2:
             problems.append(
                 f"planarity: component of {root} has Euler count {v - e + f} (expected 2); "
                 "the rotation system is not a plane embedding"
             )
-    return problems, m, faces, comp
+    return problems, m, orbits, comp
 
 
 def require_valid(web: Web) -> None:
@@ -504,78 +448,48 @@ def region_table(web: Web) -> RegionTable:
     containing its smallest dart, a deterministic choice that no computed
     invariant depends on.
     """
-    problems, m, faces, comp = _validated(web)
+    problems, m, orbits, comp = _validated(web)
     if problems:
         raise InvalidWebError("; ".join(problems))
-    orbits, lower, unbounded_idx = faces
+    walks = []
+    for orbit in orbits:
+        k = orbit.index(min(orbit))
+        walks.append(tuple(orbit[k:] + orbit[:k]))
+    walks.sort()  # by smallest half-edge: orbits are disjoint
 
-    def orbit_component(orbit):
-        d = orbit[0]
-        return comp[_node(m, d) if isinstance(d, int) else ("border",)]
-
-    outer_orbits: set[int] = set()
-    if unbounded_idx is not None:
-        outer_orbits.add(unbounded_idx)
-    # smallest-dart orbit of every closed component counts as its outer face
+    # the outer faces: the one holding the last boundary half-edge, and
+    # the first walk of every closed component
+    last = web.boundary[-1][0] if web.boundary else None
     border_root = comp.get(("border",))
-    best: dict = {}
-    for i, orbit in enumerate(orbits):
-        if i == lower:
-            continue
-        root = orbit_component(orbit)
-        if root == border_root:
-            continue
-        key = min(_dart_key(d) for d in orbit)
-        if root not in best or key < best[root][0]:
-            best[root] = (key, i)
-    outer_orbits.update(i for _k, i in best.values())
+    outer: dict = {}
+    for walk in walks:
+        root = comp[_node(m, walk[0])]
+        if root not in outer and (root != border_root or last in walk):
+            outer[root] = walk
+    unbounded = list(outer.values())  # in walk order
 
-    def walk_of(orbit) -> tuple[int, ...]:
-        ds = [d for d in orbit if isinstance(d, int)]
-        if not ds:
-            return ()
-        k = ds.index(min(ds))
-        return tuple(ds[k:] + ds[:k])
-
-    regions: list[Region] = []
-    region_of: dict[int, int] = {}
-
-    unbounded_walks = tuple(
-        w for i in sorted(outer_orbits) if (w := walk_of(orbits[i]))
-    )
-    regions.append(
+    regions = [
         Region(
             id=0,
-            walks=unbounded_walks,
-            touches_border=unbounded_idx is not None,
+            walks=tuple(unbounded),
+            touches_border=bool(web.boundary),
             is_unbounded=True,
             is_disk=False,
         )
-    )
-    for i in sorted(outer_orbits):
-        for d in walk_of(orbits[i]):
-            region_of[d] = 0
-
-    order = sorted(
-        (i for i in range(len(orbits)) if i != lower and i not in outer_orbits),
-        key=lambda i: min(_dart_key(d) for d in orbits[i]),
-    )
-    for i in order:
-        orbit = orbits[i]
-        touches = any(not isinstance(d, int) for d in orbit)
-        walk = walk_of(orbit)
+    ]
+    region_of = {d: 0 for walk in unbounded for d in walk}
+    for walk in walks:
+        if walk in unbounded:
+            continue
         rid = len(regions)
-        disk = False
-        if not touches:
-            vs = [m.vertex_of[d] for d in walk]
-            disk = len(set(vs)) == len(vs)
+        touches = any(d not in m.vertex_of for d in walk)
         regions.append(
             Region(
                 id=rid,
-                walks=(walk,) if walk else (),
+                walks=(walk,),
                 touches_border=touches,
                 is_unbounded=False,
-                is_disk=disk,
+                is_disk=not touches and len({m.vertex_of[d] for d in walk}) == len(walk),
             )
         )
         for d in walk:

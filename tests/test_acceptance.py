@@ -16,7 +16,7 @@ from sl3web.verify import run_all
 
 @pytest.fixture(scope="module")
 def results():
-    table = {r.number: r for r in run_all(max_boundary=8, jobs=1, stress_budget=600.0)}
+    table = {r.number: r for r in run_all(max_boundary=8, jobs=1)}
     for r in table.values():
         print(r.line)
     return table

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from sl3web.catalog import FLOWER_SIGNS, arc, digon_arc, flower, tripod
-from sl3web.errors import SizeGuardError, TheoremViolationError
+from sl3web.errors import TheoremViolationError
 from sl3web.generate import (
     _dominant_paths,
     _grow,
@@ -89,11 +89,6 @@ def test_generation_is_deterministic():
     a = generate_all_non_elliptic(tuple("++-+--"))
     b = generate_all_non_elliptic(tuple("++-+--"))
     assert [canonical_form(w) for w in a] == [canonical_form(w) for w in b]
-
-
-def test_deadline_guard():
-    with pytest.raises(SizeGuardError):
-        generate_non_elliptic(FLOWER_SIGNS, 24, deadline=0.0)
 
 
 def test_canonical_form_ignores_labels():

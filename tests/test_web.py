@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+from random import Random
+
 import pytest
 
 from sl3web.catalog import (
@@ -14,6 +18,7 @@ from sl3web.catalog import (
     tripod,
 )
 from sl3web.errors import BoundaryMismatchError, InvalidWebError, TheoremViolationError
+from sl3web.generate import generate_all_non_elliptic, generate_closed
 from sl3web.web import (
     MINUS,
     PLUS,
@@ -264,3 +269,80 @@ def test_colouring_circle_interior():
     c = face_colouring(circle_web(), 0)
     inner = next(r.id for r in regions(circle_web()) if r.is_circle_interior)
     assert c[inner] == 1
+
+
+# -- pinned face structure ----------------------------------------------------
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()
+
+
+def _face_record(web) -> str:
+    """validate's messages, or the whole region table of a valid web."""
+    problems = validate(web)
+    if problems:
+        return repr(problems)
+    table = region_table(web)
+    rows = [
+        (r.id, r.walks, r.touches_border, r.is_unbounded, r.is_disk, r.is_circle_interior)
+        for r in table
+    ]
+    return repr((rows, sorted(table.region_of.items())))
+
+
+def _mutant(web, rng):
+    """One seeded corruption: a shuffled rotation, two edge heads swapped
+    or a flipped boundary sign; None when the web has nothing to corrupt."""
+    how = rng.randrange(3)
+    vertices, edges, boundary = list(web.vertices), list(web.edges), list(web.boundary)
+    if how == 0 and vertices:
+        i = rng.randrange(len(vertices))
+        vid, kind, rot = vertices[i]
+        rot = list(rot)
+        rng.shuffle(rot)
+        vertices[i] = (vid, kind, tuple(rot))
+    elif how == 1 and len(edges) >= 2:
+        i, j = rng.sample(range(len(edges)), 2)
+        (ti, hi), (tj, hj) = edges[i], edges[j]
+        edges[i], edges[j] = (ti, hj), (tj, hi)
+    elif how == 2 and boundary:
+        i = rng.randrange(len(boundary))
+        h, s = boundary[i]
+        boundary[i] = (h, MINUS if s == PLUS else PLUS)
+    else:
+        return None
+    return Web(tuple(boundary), tuple(vertices), tuple(edges), web.circles)
+
+
+def test_face_structure_is_pinned():
+    # region ids, walks, flags and validate messages, so that any change to
+    # the face walk shows: every non-elliptic web up to length 8, a seeded
+    # closed corpus, the catalog and seeded self-closures, then seeded
+    # mutants of all of them, many of which fail the planarity check
+    webs = [
+        web
+        for n in range(9)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    webs += generate_closed(200, seed=7041)
+    webs += [build() for build in ALL_FIXTURES] + [circle_web(3)]
+    rng = Random(5)
+    webs += [closure(w, w) for w in rng.sample(webs, 300)]
+    assert len(webs) == 3095
+    assert _sha256("\n".join(map(_face_record, webs))) == (
+        "3c6097db92991fd7e210dae437e60c3e8b7b142b35b30ff6b5ae75d3f9faa3e9"
+    )
+
+    mutants = []
+    while len(mutants) < 3000:
+        bad = _mutant(rng.choice(webs), rng)
+        if bad is not None:
+            mutants.append(bad)
+    records = [_face_record(w) for w in mutants]
+    assert sum("planarity" in r for r in records) == 1290
+    assert _sha256("\n".join(records)) == (
+        "d8ee01618fbcc5a7abd37ac5f9129ea1e32deaadb3a746bd63f8a033bb7406f1"
+    )
