@@ -9,9 +9,19 @@ the smallest dart) is fixed so runs are reproducible, and a seeded
 order is available for exercising confluence.  Circles only count:
 each leaf of the elimination contributes [2]^digons [3]^circles.
 
+The square relation branches, and different branches often converge on
+the same labelled map.  The unseeded bracket therefore walks the
+elimination as a DAG: digons are collapsed until a square is next, and
+each map met at a square is evaluated once, its leaf counts kept in a
+per-call memo keyed by the map's partner table (see _dag_leaves for why
+that key identifies the map).  A seeded order walks the whole tree
+instead (_eliminate); it shares only the face walk and the splice with
+the DAG, so it is the slow oracle the DAG is checked against.  Both refuse to
+expand more than MAX_SQUARE_BRANCHINGS squares.
+
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
-picture would draw as the outer region.  split_elliptic runs the same
+picture would draw as the outer region.  split_elliptic runs the tree
 elimination on webs with boundary, leaving alone the faces that touch
 the boundary; since non-elliptic webs form a basis, every order yields
 the same multiset of (non-elliptic web, degree shift).
@@ -21,14 +31,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
-from .errors import BoundaryMismatchError, TheoremViolationError
+from .errors import BoundaryMismatchError, SizeGuardError, TheoremViolationError
 from .laurent import LaurentPoly, quantum_integer
 from .web import DartMap, Region, Web, closure, require_valid
 
 QINT2 = quantum_integer(2)
 QINT3 = quantum_integer(3)
+
+# square branchings one bracket may expand: nodes of the elimination DAG,
+# or of the tree in a seeded order
+MAX_SQUARE_BRANCHINGS = 200_000
 
 
 def _smoothings(spokes):
@@ -47,6 +62,7 @@ def _eliminate(web: Web, rng: Random | None = None):
     path is held.
     """
     work = [(DartMap(web), 0)]
+    branchings = 0
     while work:
         m, digons = work.pop()
         vertex_of = m.vertex_of
@@ -63,6 +79,7 @@ def _eliminate(web: Web, rng: Random | None = None):
             m.splice(corners, [(sp[0], sp[1])])
             work.append((m, digons + 1))
         else:
+            branchings = _count_branching(branchings)
             first, second = _smoothings(sp)
             other = m.copy()
             other.splice(corners, second)
@@ -71,6 +88,108 @@ def _eliminate(web: Web, rng: Random | None = None):
             work.append((m, digons))
 
 
+def _count_branching(branchings: int) -> int:
+    branchings += 1
+    if branchings > MAX_SQUARE_BRANCHINGS:
+        raise SizeGuardError(
+            f"the bracket is capped at {MAX_SQUARE_BRANCHINGS} square branchings"
+        )
+    return branchings
+
+
+def _check_leaf(m: DartMap) -> None:
+    if m.rot:
+        raise TheoremViolationError(
+            "closed web with vertices but no circle, digon or square face"
+        )
+
+
+def _tree_leaves(web: Web, rng: Random | None = None) -> Counter:
+    """Leaf counts by (digons, circles) of the elimination tree; the
+    oracle for _dag_leaves."""
+    leaves: Counter = Counter()
+    for m, digons in _eliminate(web, rng):
+        _check_leaf(m)
+        leaves[digons, m.circles] += 1
+    return leaves
+
+
+def _settle(m: DartMap):
+    """Collapse digons in the default order until the next face is a
+    square or none is left; return (digons collapsed, square orbit or
+    None).  Faces touching a boundary half-edge are skipped."""
+    vertex_of = m.vertex_of
+    digons = 0
+    while True:
+        orbits = [o for o in m.faces() if len(o) in (2, 4) and all(d in vertex_of for d in o)]
+        orbit = min(orbits, key=lambda o: (len(o), min(o)), default=None)
+        if orbit is None or len(orbit) == 4:
+            return digons, orbit
+        corners, sp = m.spokes(orbit)
+        m.splice(corners, [(sp[0], sp[1])])
+        digons += 1
+
+
+def _dag_leaves(web: Web) -> Counter:
+    """Leaf counts by (digons, circles) of the default-order elimination,
+    with every labelled map met at a square evaluated once.
+
+    A square node's counts are relative to the node: digons collapsed
+    and circles closed below it.  The memo key is the partner table's
+    values: the splice only reassigns and deletes partner entries, so
+    the keys run in the web's order restricted to the survivors and the
+    values fix the map.  Circles are left out of the key because the
+    counts are relative.  The walk keeps an explicit stack of frames
+    (key, counts, pending children).
+    """
+    m = DartMap(web)
+    digons, orbit = _settle(m)
+    if orbit is None:
+        _check_leaf(m)
+        return Counter({(digons, m.circles): 1})
+    memo: dict[tuple, Counter] = {}
+    branchings = 0
+
+    def frame(key, node, orbit):
+        nonlocal branchings
+        branchings = _count_branching(branchings)
+        base = node.circles
+        corners, sp = node.spokes(orbit)
+        first, second = _smoothings(sp)
+        other = node.copy()
+        other.splice(corners, second)
+        node.splice(corners, first)
+        counts: Counter = Counter()
+        pending = []
+        for child in (other, node):
+            d, o = _settle(child)
+            c = child.circles - base
+            if o is None:
+                _check_leaf(child)
+                counts[d, c] += 1
+            else:
+                pending.append((d, c, tuple(child.partner.values()), child, o))
+        return key, counts, pending
+
+    circles = m.circles
+    root = tuple(m.partner.values())
+    stack = [frame(root, m, orbit)]
+    while stack:
+        key, counts, pending = stack[-1]
+        while pending and pending[-1][2] in memo:
+            d, c, child, _m, _o = pending.pop()
+            for (dd, cc), n in memo[child].items():
+                counts[dd + d, cc + c] += n
+        if pending:
+            _d, _c, child, cm, co = pending[-1]
+            stack.append(frame(child, cm, co))
+        else:
+            stack.pop()
+            memo[key] = counts
+    return Counter({(dd + digons, cc + circles): n for (dd, cc), n in memo[root].items()})
+
+
+@cache
 def _multiplier(digons: int, circles: int) -> LaurentPoly:
     return QINT2**digons * QINT3**circles
 
@@ -90,14 +209,9 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
 
 
 def _evaluate(web: Web, rng: Random | None = None) -> LaurentPoly:
-    """The bracket of a closed web already known to be valid."""
-    leaves: Counter = Counter()
-    for m, digons in _eliminate(web, rng):
-        if m.rot:
-            raise TheoremViolationError(
-                "closed web with vertices but no circle, digon or square face"
-            )
-        leaves[digons, m.circles] += 1
+    """The bracket of a closed web already known to be valid: over the
+    memoised elimination DAG, or over the tree in a seeded order."""
+    leaves = _dag_leaves(web) if rng is None else _tree_leaves(web, rng)
     value = LaurentPoly.zero()
     for (digons, circles), count in leaves.items():
         value = value + _multiplier(digons, circles) * count

@@ -86,13 +86,6 @@ def _sign_strings(max_boundary: int):
                 yield signs
 
 
-def _non_elliptic_corpus(max_boundary: int):
-    out = []
-    for signs in _sign_strings(max_boundary):
-        out.extend(generate_all_non_elliptic(signs))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -146,45 +139,51 @@ def _c2_confluence(closed):
 
 
 def _characterisation_work(signs, webs=None):
+    """Check the characterisation on the non-elliptic webs over `signs`:
+    a decomposable verdict needs an exact red graph and a decomposition
+    along it, an indecomposable one admits no admissible red graph."""
     if webs is None:
         webs = generate_all_non_elliptic(signs)
     red_count = 0
+    decomposable = 0
     for web in webs:
         vc = classify(web)
-        if not vc.indecomposable:
-            raise TheoremViolationError(
-                f"non-elliptic web over {''.join(signs)} with bracket {vc.poly} "
-                f"is not monic of degree {vc.weight}"
-            )
-        dual = dual_graph(web)
-        for red in enumerate_red_graphs(web, dual):
+        for red in enumerate_red_graphs(web, dual_graph(web)):
             red_count += 1
-            if is_admissible(red):
+            if vc.indecomposable and is_admissible(red):
                 raise TheoremViolationError(
-                    f"admissible red graph {red.faces} on a non-elliptic web "
-                    f"over {''.join(signs)}"
+                    f"admissible red graph {red.faces} on an indecomposable "
+                    f"non-elliptic web over {''.join(signs)}"
                 )
-    return len(webs), red_count
+        if vc.indecomposable:
+            continue
+        decomposable += 1
+        if find_exact_red_graph(web) is None:
+            raise TheoremViolationError(
+                f"decomposable non-elliptic web over {''.join(signs)} with bracket "
+                f"{vc.poly} has no exact red graph"
+            )
+        if not decompose(web).factors:
+            raise TheoremViolationError(
+                f"decomposable non-elliptic web over {''.join(signs)} decomposed into nothing"
+            )
+    return len(webs), red_count, decomposable
 
 
 def _c3_characterisation(max_boundary: int, jobs: int, ne_corpus=None):
     strings = list(_sign_strings(max_boundary))
-    total_webs = 0
-    total_red = 0
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for nwebs, nred in pool.map(_characterisation_work, strings):
-                total_webs += nwebs
-                total_red += nred
+            counts = list(pool.map(_characterisation_work, strings))
     else:
-        for signs in strings:
-            webs = None if ne_corpus is None else ne_corpus[signs]
-            nwebs, nred = _characterisation_work(signs, webs)
-            total_webs += nwebs
-            total_red += nred
+        counts = [
+            _characterisation_work(signs, None if ne_corpus is None else ne_corpus[signs])
+            for signs in strings
+        ]
+    total_webs, total_red, total_decomposable = map(sum, zip((0, 0, 0), *counts))
     return (
-        f"{len(strings)} sign strings, {total_webs} non-elliptic webs, "
-        f"{total_red} red graphs, 0 counterexamples"
+        f"{len(strings)} sign strings, {total_webs} non-elliptic webs "
+        f"({total_decomposable} decomposable), {total_red} red graphs, 0 counterexamples"
     )
 
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from sl3web.verify import run_all
+import sl3web.verify
+from sl3web.catalog import FLOWER_SIGNS, flower
+from sl3web.errors import TheoremViolationError
+from sl3web.verify import _characterisation_work, run_all
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +67,15 @@ def test_criterion_8_face_colouring(results):
 
 def test_criterion_9_twelve_sign_stress_search(results):
     check(results, 9)
+
+
+def test_criterion_3_accepts_the_decomposable_flower():
+    # non-elliptic yet decomposable: the criterion asks for an exact red
+    # graph and a decomposition instead of an indecomposable verdict
+    assert _characterisation_work(FLOWER_SIGNS, [flower()]) == (1, 81, 1)
+
+
+def test_criterion_3_needs_an_exact_red_graph(monkeypatch):
+    monkeypatch.setattr(sl3web.verify, "find_exact_red_graph", lambda web: None)
+    with pytest.raises(TheoremViolationError, match="no exact red graph"):
+        _characterisation_work(FLOWER_SIGNS, [flower()])

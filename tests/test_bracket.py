@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
+import itertools
+import sys
 from random import Random
 
 import pytest
 
+import sl3web.bracket as bracket_module
 from sl3web.bracket import (
     boundary_weight,
     bracket,
@@ -18,6 +22,7 @@ from sl3web.bracket import (
     split_elliptic,
 )
 from sl3web.catalog import (
+    FLOWER_SIGNS,
     arc,
     circle_web,
     cube,
@@ -28,11 +33,19 @@ from sl3web.catalog import (
     theta,
     tripod,
 )
-from sl3web.errors import BoundaryMismatchError
-from sl3web.generate import canonical_form, generate_closed
+from sl3web.errors import BoundaryMismatchError, SizeGuardError
+from sl3web.generate import canonical_form, generate_all_non_elliptic, generate_closed
 from sl3web.laurent import LaurentPoly, quantum_integer
 from sl3web.redgraph import enumerate_pairings, g_reduction, red_graph_from_faces
-from sl3web.web import Web, closure, find_elliptic_face
+from sl3web.web import (
+    SINK,
+    SOURCE,
+    Web,
+    closure,
+    find_elliptic_face,
+    is_admissible_sequence,
+    make_web,
+)
 
 Q2 = quantum_integer(2)
 Q3 = quantum_integer(3)
@@ -149,6 +162,78 @@ def test_elimination_outputs_are_pinned():
     ]
     for pairing, digest in zip(enumerate_pairings(red), want, strict=True):
         assert _sha256(repr(pieces(g_reduction(web, red, pairing)))) == digest
+
+
+# -- the memoised elimination DAG against the elimination tree ------------------
+
+
+def _prism(n: int) -> Web:
+    """The closed prism web: an outer cycle u_0..u_{n-1}, an inner cycle
+    w_0..w_{n-1} and rungs u_i w_i, n even; every face but the two cycles
+    is a square.  One smoothing of a square leaves the prism on n - 2
+    rungs, the other a cascade of digons."""
+    verts, edges = [], []
+    for i in range(n):
+        u, w = 6 * i, 6 * i + 3  # half-edges u, u+1, u+2 at u_i; w, w+1, w+2 at w_i
+        u_next, w_next = 6 * ((i + 1) % n), 6 * ((i + 1) % n) + 3
+        # ccw at u_i: towards u_{i+1}, w_i, u_{i-1}; at w_i: towards u_i, w_{i+1}, w_{i-1}
+        verts.append((2 * i, SOURCE if i % 2 == 0 else SINK, (u, u + 1, u + 2)))
+        verts.append((2 * i + 1, SINK if i % 2 == 0 else SOURCE, (w, w + 1, w + 2)))
+        for a, b in ((u, u_next + 2), (w + 1, w_next + 2), (u + 1, w)):
+            a_is_source = (a // 6 % 2 == 0) == (a % 6 < 3)
+            edges.append((a, b) if a_is_source else (b, a))
+    return make_web((), verts, edges)
+
+
+def test_dag_matches_tree_on_self_closures_up_to_8():
+    webs = [
+        web
+        for n in range(9)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    for web in webs:
+        closed = closure(web, web)
+        assert bracket_module._dag_leaves(closed) == bracket_module._tree_leaves(closed)
+
+
+def test_dag_matches_tree_on_flower_pairings():
+    webs = generate_all_non_elliptic(FLOWER_SIGNS)
+    rng = Random(11)
+    pairs = [(flower(), flower())] + [(rng.choice(webs), rng.choice(webs)) for _ in range(50)]
+    for w1, w2 in pairs:
+        closed = closure(w1, w2)
+        assert bracket_module._dag_leaves(closed) == bracket_module._tree_leaves(closed)
+
+
+def test_dag_walk_does_not_recurse():
+    # every leaf of the elimination has no vertex left and a step removes
+    # at most four, so the elimination of a web with V vertices is at least
+    # V / 4 steps deep; run it under a recursion limit below that depth
+    limit = sys.getrecursionlimit()
+    low = len(inspect.stack()) + 50
+    web = _prism(2 * low + 20)
+    sys.setrecursionlimit(low)
+    try:
+        assert web.vertex_count // 4 > sys.getrecursionlimit()
+        leaves = bracket_module._dag_leaves(web)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert leaves == bracket_module._tree_leaves(web)
+
+
+def test_square_branchings_are_capped(monkeypatch):
+    # the prism on 8 rungs branches 3 times in the DAG and, in the seeded
+    # order Random(0), 11 times in the tree
+    web = _prism(8)
+    value = bracket(web)
+    for evaluate, count in ((lambda: bracket(web), 3), (lambda: bracket(web, Random(0)), 11)):
+        monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", count)
+        assert evaluate() == value
+        monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", count - 1)
+        with pytest.raises(SizeGuardError):
+            evaluate()
 
 
 # -- hom pairings ---------------------------------------------------------------

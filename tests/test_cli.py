@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from sl3web.catalog import arc, circle_web, digon_arc, flower, tripod
+import sl3web.bracket
+from sl3web.catalog import arc, circle_web, cube, digon_arc, flower, tripod
 from sl3web.cli import main
 from sl3web.generate import canonical_form
 from sl3web.io import load_web, save_web
@@ -153,6 +154,14 @@ def test_export_dot(webs, tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["bracket", "/nonexistent/x.json"]) == 2
+
+
+def test_bracket_size_guard_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cube.json"
+    save_web(cube(), str(path))
+    monkeypatch.setattr(sl3web.bracket, "MAX_SQUARE_BRANCHINGS", 0)
+    assert main(["bracket", str(path)]) == 3
+    assert "square branchings" in capsys.readouterr().err
 
 
 def test_non_utf8_file_exit_code(tmp_path, capsys):

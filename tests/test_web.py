@@ -24,6 +24,7 @@ from sl3web.web import (
     PLUS,
     SINK,
     SOURCE,
+    DartMap,
     Web,
     closure,
     euler_region_count,
@@ -272,6 +273,32 @@ def test_colouring_circle_interior():
 
 
 # -- pinned face structure ----------------------------------------------------
+
+
+def test_face_orbits_start_at_their_first_half_edge_in_partner_order():
+    # every edge of this theta runs from a larger tail to a smaller head, so
+    # the partner table lists 10 before 2 and the orbit {2, 10} starts at 10
+    theta_web = make_web(
+        (), [(0, SOURCE, (10, 11, 12)), (1, SINK, (1, 2, 3))], [(10, 1), (11, 3), (12, 2)]
+    )
+    assert DartMap(theta_web).faces() == [[10, 2], [1, 11], [3, 12]]
+    # the flower with its half-edge ids reversed, boundary half-edges included
+    web = flower()
+    top = 1 + max(h for _v, _k, rot in web.vertices for h in rot)
+    top = max(top, 1 + max(h for h, _s in web.boundary))
+    web = make_web(
+        [(top - h, s) for h, s in web.boundary],
+        [(v, k, [top - h for h in rot]) for v, k, rot in web.vertices],
+        [(top - t, top - h) for t, h in web.edges],
+    )
+    assert validate(web) == []
+    for m in (DartMap(theta_web), DartMap(web)):
+        position = {d: i for i, d in enumerate(m.partner)}
+        orbits = m.faces()
+        assert [o[0] for o in orbits] == sorted(
+            (min(o, key=position.get) for o in orbits), key=position.get
+        )
+        assert any(o[0] != min(o) for o in orbits)
 
 
 def _sha256(value) -> str:
