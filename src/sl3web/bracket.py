@@ -14,10 +14,13 @@ the same labelled map.  The unseeded bracket therefore walks the
 elimination as a DAG: digons are collapsed until a square is next, and
 each map met at a square is evaluated once, its leaf counts kept in a
 per-call memo keyed by the map's partner table (see _dag_leaves for why
-that key identifies the map).  A seeded order walks the whole tree
-instead (_eliminate); it shares only the face walk and the splice with
-the DAG, so it is the slow oracle the DAG is checked against.  Both refuse to
-expand more than MAX_SQUARE_BRANCHINGS squares.
+that key identifies the map).  The DAG walks the faces once, at the
+root, and then keeps a heap of its digon and square faces, re-walking
+after each splice only the faces next to the spliced one.  A seeded
+order walks the whole tree instead (_eliminate) and rescans every face
+after every step; it shares only the splice with the DAG, so it is the
+slow oracle the DAG is checked against.  Both refuse to expand more
+than MAX_SQUARE_BRANCHINGS squares.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
@@ -29,6 +32,7 @@ the same multiset of (non-elliptic web, degree shift).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -114,75 +118,119 @@ def _tree_leaves(web: Web, rng: Random | None = None) -> Counter:
     return leaves
 
 
-def _settle(m: DartMap):
+def _small_face(m: DartMap, h: int) -> list[int] | None:
+    """The face walk from half-edge h when it is a digon or a square
+    touching no boundary half-edge, else None; at most four steps."""
+    succ, partner, vertex_of = m.succ, m.partner, m.vertex_of
+    if h not in partner:
+        return None
+    walk: list[int] = []
+    x = h
+    while x in vertex_of and len(walk) < 4:
+        walk.append(x)
+        x = succ[partner[x]]
+        if x == h:
+            return walk if len(walk) in (2, 4) else None
+    return None
+
+
+def _next_face(m: DartMap, heap: list) -> list[int] | None:
+    """The digon or square face of least (length, smallest half-edge),
+    walked from that half-edge, or None.  Entries whose face is gone or
+    changed length are dropped; a face whose smallest half-edge changed
+    has a smaller entry of its own, which comes up first."""
+    while heap:
+        length, h = heap[0]
+        walk = _small_face(m, h)
+        if walk is not None and len(walk) == length:
+            return walk
+        heapq.heappop(heap)
+    return None
+
+
+def _splice_face(m: DartMap, heap: list, walk, links) -> None:
+    """Splice a face out through DartMap.splice, joining its spokes as
+    links(spokes) says, and push the digon and square faces it leaves.
+    Every face the splice changes runs through a surviving far end of
+    one of the spokes."""
+    corners, spokes = m.spokes(walk)
+    far = [m.partner[s] for s in spokes]
+    m.splice(corners, links(spokes))
+    for p in far:
+        w = _small_face(m, p)
+        if w is not None:
+            heapq.heappush(heap, (len(w), min(w)))
+
+
+def _settle(m: DartMap, heap: list):
     """Collapse digons in the default order until the next face is a
-    square or none is left; return (digons collapsed, square orbit or
-    None).  Faces touching a boundary half-edge are skipped."""
-    vertex_of = m.vertex_of
+    square or none is left; return (digons collapsed, square walk or
+    None)."""
     digons = 0
-    while True:
-        orbits = [o for o in m.faces() if len(o) in (2, 4) and all(d in vertex_of for d in o)]
-        orbit = min(orbits, key=lambda o: (len(o), min(o)), default=None)
-        if orbit is None or len(orbit) == 4:
-            return digons, orbit
-        corners, sp = m.spokes(orbit)
-        m.splice(corners, [(sp[0], sp[1])])
+    while (walk := _next_face(m, heap)) is not None and len(walk) == 2:
+        _splice_face(m, heap, walk, lambda sp: [(sp[0], sp[1])])
         digons += 1
+    return digons, walk
 
 
 def _dag_leaves(web: Web) -> Counter:
     """Leaf counts by (digons, circles) of the default-order elimination,
     with every labelled map met at a square evaluated once.
 
-    A square node's counts are relative to the node: digons collapsed
-    and circles closed below it.  The memo key is the partner table's
-    values: the splice only reassigns and deletes partner entries, so
-    the keys run in the web's order restricted to the survivors and the
-    values fix the map.  Circles are left out of the key because the
-    counts are relative.  The walk keeps an explicit stack of frames
-    (key, counts, pending children).
+    The faces are walked once, at the root; after that each map carries
+    a heap of (length, smallest half-edge) over its digon and square
+    faces that touch no boundary half-edge, which _splice_face keeps up
+    to date.  A square node's counts are relative to the node: digons
+    collapsed and circles closed below it.  The memo key is the partner
+    table's values: the splice only reassigns and deletes partner
+    entries, so the keys run in the web's order restricted to the
+    survivors and the values fix the map.  Circles are left out of the
+    key because the counts are relative.  The walk keeps an explicit
+    stack of frames (key, counts, pending children).
     """
     m = DartMap(web)
-    digons, orbit = _settle(m)
-    if orbit is None:
+    heap = [
+        (len(o), min(o)) for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)
+    ]
+    heapq.heapify(heap)
+    digons, walk = _settle(m, heap)
+    if walk is None:
         _check_leaf(m)
         return Counter({(digons, m.circles): 1})
     memo: dict[tuple, Counter] = {}
     branchings = 0
 
-    def frame(key, node, orbit):
+    def frame(key, node, heap, walk):
         nonlocal branchings
         branchings = _count_branching(branchings)
         base = node.circles
-        corners, sp = node.spokes(orbit)
-        first, second = _smoothings(sp)
-        other = node.copy()
-        other.splice(corners, second)
-        node.splice(corners, first)
+        heapq.heappop(heap)
+        other, other_heap = node.copy(), heap.copy()
+        _splice_face(other, other_heap, walk, lambda sp: _smoothings(sp)[1])
+        _splice_face(node, heap, walk, lambda sp: _smoothings(sp)[0])
         counts: Counter = Counter()
         pending = []
-        for child in (other, node):
-            d, o = _settle(child)
+        for child, child_heap in ((other, other_heap), (node, heap)):
+            d, w = _settle(child, child_heap)
             c = child.circles - base
-            if o is None:
+            if w is None:
                 _check_leaf(child)
                 counts[d, c] += 1
             else:
-                pending.append((d, c, tuple(child.partner.values()), child, o))
+                pending.append((d, c, tuple(child.partner.values()), child, child_heap, w))
         return key, counts, pending
 
     circles = m.circles
     root = tuple(m.partner.values())
-    stack = [frame(root, m, orbit)]
+    stack = [frame(root, m, heap, walk)]
     while stack:
         key, counts, pending = stack[-1]
         while pending and pending[-1][2] in memo:
-            d, c, child, _m, _o = pending.pop()
+            d, c, child, *_rest = pending.pop()
             for (dd, cc), n in memo[child].items():
                 counts[dd + d, cc + c] += n
         if pending:
-            _d, _c, child, cm, co = pending[-1]
-            stack.append(frame(child, cm, co))
+            stack.append(frame(*pending[-1][2:]))
         else:
             stack.pop()
             memo[key] = counts
@@ -295,15 +343,6 @@ def hom_graded_dimension(w1: Web, w2: Web) -> LaurentPoly:
             f"graded hom dimension has a negative coefficient: {value}"
         )
     return value
-
-
-def modules_distinct(w1: Web, w2: Web) -> bool:
-    """True when no degree-zero module map can be an isomorphism, which
-    is the case when deg <w1bar w2> falls short of the boundary weight."""
-    value = hom_poly(w1, w2)
-    if not value:
-        return True
-    return value.degree < boundary_weight(w1.signs)
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,12 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl3web",
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "run the acceptance suite")
     p.add_argument("--max-boundary", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1, help="processes, at most one per core")
     p.add_argument("--corpus-size", type=int, default=200)
 
     p = add("export", cmd_export, "write a web back out as JSON or DOT")

@@ -51,6 +51,16 @@ class DualGraph:
         return [r.id for r in self.table.regions if r.is_disk]
 
     @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per region: (edge index, region on the other side) for every
+        web edge on its boundary, in edge order."""
+        inc: list[list[tuple[int, int]]] = [[] for _ in self.degrees]
+        for i, (a, b) in enumerate(self.sides):
+            inc[a].append((i, b))
+            inc[b].append((i, a))
+        return tuple(map(tuple, inc))
+
+    @cached_property
     def darts(self) -> DartMap:
         """The web's dart map, shared by every red graph of this dual
         graph; read it, never splice it."""
@@ -73,18 +83,20 @@ def dual_graph(web: Web) -> DualGraph:
 
 
 class RedGraph:
-    """An induced subgraph of the dual graph on a set of disk faces."""
+    """An induced subgraph of the dual graph on a set of disk faces;
+    `edges`, when given, are the dual edges between them, ascending."""
 
-    def __init__(self, dual: DualGraph, faces):
+    def __init__(self, dual: DualGraph, faces, edges=None):
         self.dual = dual
         self.faces = tuple(sorted(set(faces)))
-        fs = set(self.faces)
-        edges = []
-        for i, (a, b) in enumerate(dual.sides):
-            if a in fs and b in fs:
-                if a == b:
-                    raise AssertionError("disk faces never bound both sides of an edge")
-                edges.append(i)
+        if edges is None:
+            fs = set(self.faces)
+            edges = []
+            for i, (a, b) in enumerate(dual.sides):
+                if a in fs and b in fs:
+                    if a == b:
+                        raise AssertionError("disk faces never bound both sides of an edge")
+                    edges.append(i)
         self.edges = tuple(edges)
 
     def __repr__(self):
@@ -108,14 +120,13 @@ class RedGraph:
 
     @cached_property
     def level(self) -> int:
-        """The index I(G)."""
-        return 2 * len(self.faces) - len(self.edges) - sum(self.ed(f) for f in self.faces) // 2
+        """The index I(G) = 2|F| - |E| - (1/2) sum ed(f), which is
+        2|F| + |E| - (1/2) sum deg_D(f) since the degrees in G sum to 2|E|."""
+        degrees = self.dual.degrees
+        return 2 * len(self.faces) + len(self.edges) - sum(degrees[f] for f in self.faces) // 2
 
     def is_fair(self) -> bool:
         return all(self.ed(f) <= 4 for f in self.faces)
-
-    def is_nice(self) -> bool:
-        return all(self.ed(f) <= 2 for f in self.faces)
 
     def components(self) -> list[tuple[int, ...]]:
         parent = {f: f for f in self.faces}
@@ -149,9 +160,11 @@ MAX_ENUM_FACES = 24
 def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
     """Yield every red graph of the web (deterministic order).
 
-    Backtracks over the disk faces with the corner rule checked
-    incrementally, so branches that already pinch some vertex are never
-    explored.  Guarded for webs with more than MAX_ENUM_FACES disk faces.
+    Backtracks over the disk faces, each taken before it is left out,
+    with the corner rule checked incrementally, so branches that already
+    pinch some vertex are never explored.  The walk keeps an explicit
+    stack of the faces taken and carries their red edges along.  Guarded
+    for webs with more than MAX_ENUM_FACES disk faces.
     """
     if dual is None:
         dual = dual_graph(web)
@@ -166,27 +179,44 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
             if c in by_face:
                 by_face[c].append(vid)
     count = {vid: 0 for vid in dual.corners}
-
-    def rec(i: int, chosen: list[int]):
-        if i == len(disk):
-            if chosen:
-                yield RedGraph(dual, chosen)
+    incidence = dual.incidence
+    taken = [False] * len(dual.degrees)
+    chosen: list[int] = []  # indices into disk of the faces taken, increasing
+    marks: list[int] = []  # len(edges) before each chosen face was taken
+    edges: list[int] = []
+    i = 0
+    while True:
+        while i < len(disk):
+            f = disk[i]
+            blocked = False
+            for vid in by_face[f]:
+                count[vid] += 1
+                if count[vid] > 2:
+                    blocked = True
+            if blocked:
+                for vid in by_face[f]:
+                    count[vid] -= 1
+            else:
+                marks.append(len(edges))
+                for e, g in incidence[f]:
+                    if g == f:
+                        raise AssertionError("disk faces never bound both sides of an edge")
+                    if taken[g]:
+                        edges.append(e)
+                taken[f] = True
+                chosen.append(i)
+            i += 1
+        if not chosen:
             return
+        yield RedGraph(dual, [disk[j] for j in chosen], sorted(edges))
+        # back to the last face taken, and leave it out instead
+        i = chosen.pop()
         f = disk[i]
-        blocked = False
-        for vid in by_face[f]:
-            count[vid] += 1
-            if count[vid] > 2:
-                blocked = True
-        if not blocked:
-            chosen.append(f)
-            yield from rec(i + 1, chosen)
-            chosen.pop()
+        taken[f] = False
+        del edges[marks.pop():]
         for vid in by_face[f]:
             count[vid] -= 1
-        yield from rec(i + 1, chosen)
-
-    yield from rec(0, [])
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +357,6 @@ def is_admissible(red: RedGraph) -> bool:
 
 def is_exact(red: RedGraph) -> bool:
     return red.level == 0 and is_admissible(red)
-
-
-def in_out_degrees(red: RedGraph, orientation) -> dict[int, tuple[int, int]]:
-    counts = {f: [0, 0] for f in red.faces}
-    for _i, (tail, head) in orientation.items():
-        counts[head][0] += 1
-        counts[tail][1] += 1
-    return {f: (i, o) for f, (i, o) in counts.items()}
 
 
 def orientation_index_sum(red: RedGraph, orientation) -> int:
@@ -500,16 +522,6 @@ def minimal_admissible_subgraph(red: RedGraph) -> RedGraph:
             if find_fitting_orientation(candidate) is not None:
                 return candidate
     return red
-
-
-def max_admissible_level(web: Web, dual: DualGraph | None = None):
-    """Largest index among admissible red graphs, or None when no red
-    graph of the web is admissible."""
-    best = None
-    for g in enumerate_red_graphs(web, dual):
-        if (best is None or g.level > best) and is_admissible(g):
-            best = g.level
-    return best
 
 
 def find_exact_red_graph(web: Web) -> RedGraph | None:

@@ -12,6 +12,7 @@ exit loudly.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -172,8 +173,10 @@ def _characterisation_work(signs, webs=None):
 
 def _c3_characterisation(max_boundary: int, jobs: int, ne_corpus=None):
     strings = list(_sign_strings(max_boundary))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # more workers than cores gain nothing, and a fork pool starts them all at once
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_characterisation_work, strings))
     else:
         counts = [
@@ -184,6 +187,7 @@ def _c3_characterisation(max_boundary: int, jobs: int, ne_corpus=None):
     return (
         f"{len(strings)} sign strings, {total_webs} non-elliptic webs "
         f"({total_decomposable} decomposable), {total_red} red graphs, 0 counterexamples"
+        + (f"; --jobs {jobs} capped at {workers}, one process per core" if workers < jobs else "")
     )
 
 

@@ -514,11 +514,6 @@ def regions(web: Web) -> list[Region]:
     return region_table(web).regions
 
 
-def euler_region_count(web: Web) -> int:
-    """#regions - #edges + #vertices, which is 2 for a connected closed web."""
-    return len(regions(web)) - len(web.edges) + web.vertex_count
-
-
 def find_elliptic_face(web: Web):
     """Locate a vertexless circle, digon face or square face.
 
@@ -651,11 +646,11 @@ def closure(w1: Web, w2: Web) -> Web:
             f"cannot glue boundaries {''.join(w1.signs)!r} and {''.join(w2.signs)!r}"
         )
 
-    all_ids = [h for h, _ in w2.boundary]
-    all_ids += [h for _v, _k, rot in w2.vertices for h in rot]
-    all_ids += [x for e in w2.edges for x in e]
-    hoff = max(all_ids, default=0) + 1
+    # w1's ids are shifted past w2's; ids may be negative
+    hoff = max([x for e in w2.edges for x in e], default=0) + 1
+    hoff -= min([0, *(x for e in w1.edges for x in e)])
     voff = max([v for v, _k, _r in w2.vertices], default=0) + 1
+    voff -= min([0, *(v for v, _k, _r in w1.vertices)])
 
     vertices = list(w2.vertices)
     for vid, kind, rot in w1.vertices:

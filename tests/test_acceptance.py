@@ -79,3 +79,29 @@ def test_criterion_3_needs_an_exact_red_graph(monkeypatch):
     monkeypatch.setattr(sl3web.verify, "find_exact_red_graph", lambda web: None)
     with pytest.raises(TheoremViolationError, match="no exact red graph"):
         _characterisation_work(FLOWER_SIGNS, [flower()])
+
+
+def test_criterion_3_uses_at_most_one_process_per_core(monkeypatch):
+    # a fake pool records its size; no real pool of that size is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sl3web.verify, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(sl3web.verify.os, "cpu_count", lambda: 3)
+    detail = sl3web.verify._c3_characterisation(4, 3000)
+    assert sizes == [3]
+    assert "--jobs 3000 capped at 3, one process per core" in detail
+    assert sl3web.verify._c3_characterisation(4, 2) == detail.split(";")[0]
+    assert sizes == [3, 2]

@@ -16,7 +16,6 @@ from sl3web.bracket import (
     collapse_digon,
     hom_graded_dimension,
     hom_poly,
-    modules_distinct,
     remove_circle,
     smooth_square,
     split_elliptic,
@@ -40,6 +39,7 @@ from sl3web.redgraph import enumerate_pairings, g_reduction, red_graph_from_face
 from sl3web.web import (
     SINK,
     SOURCE,
+    DartMap,
     Web,
     closure,
     find_elliptic_face,
@@ -223,6 +223,60 @@ def test_dag_walk_does_not_recurse():
     assert leaves == bracket_module._tree_leaves(web)
 
 
+def _replay_corpus():
+    webs = [
+        closure(web, web)
+        for n in range(9)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    flowers = generate_all_non_elliptic(FLOWER_SIGNS)
+    rng = Random(11)
+    pairs = [(flower(), flower())] + [(rng.choice(flowers), rng.choice(flowers)) for _ in range(50)]
+    return webs + [closure(w1, w2) for w1, w2 in pairs] + [_prism(8)]
+
+
+def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
+    tracked = bracket_module._next_face
+    steps = []
+
+    def checked(m, heap):
+        walk = tracked(m, heap)
+        orbits = [
+            o for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)
+        ]
+        want = min(orbits, key=lambda o: (len(o), min(o)), default=None)
+        if want is None:
+            assert walk is None
+        else:
+            assert walk is not None and walk[0] == min(walk)
+            assert (len(walk), min(walk)) == (len(want), min(want))
+            assert set(walk) == set(want)
+        steps.append(walk is not None)
+        return walk
+
+    monkeypatch.setattr(bracket_module, "_next_face", checked)
+    for web in _replay_corpus():
+        bracket_module._dag_leaves(web)
+    assert sum(steps) > 10_000
+
+
+def test_dag_walks_the_faces_once(monkeypatch):
+    web = closure(flower(), flower())
+    calls = []
+    faces = DartMap.faces
+
+    def counted(self):
+        calls.append(1)
+        return faces(self)
+
+    monkeypatch.setattr(DartMap, "faces", counted)
+    leaves = bracket_module._dag_leaves(web)
+    assert sum(leaves.values()) > 1  # squares were split
+    assert len(calls) == 1
+
+
 def test_square_branchings_are_capped(monkeypatch):
     # the prism on 8 rungs branches 3 times in the DAG and, in the seeded
     # order Random(0), 11 times in the tree
@@ -255,6 +309,15 @@ def test_hom_tripod():
 
 def test_hom_digon_arc():
     assert hom_poly(digon_arc(), digon_arc()) == Q2 * Q2 * Q3
+
+
+def modules_distinct(w1: Web, w2: Web) -> bool:
+    """True when no degree-zero module map can be an isomorphism, which
+    is the case when deg <w1bar w2> falls short of the boundary weight."""
+    value = hom_poly(w1, w2)
+    if not value:
+        return True
+    return value.degree < boundary_weight(w1.signs)
 
 
 def test_modules_distinct_on_basis_webs():

@@ -188,3 +188,11 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "count: 1" in proc.stdout
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_verify_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be a whole number of at least 1" in capsys.readouterr().err

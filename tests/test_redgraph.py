@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3web.catalog import arc, cube, digon_arc, flower, theta, tripod
+import redgraph_oracle
+from sl3web.catalog import FLOWER_SIGNS, arc, cube, digon_arc, flower, theta, tripod
 from sl3web.errors import PairingError, StageMismatchError
-from sl3web.generate import canonical_form
+from sl3web.generate import canonical_form, generate_all_non_elliptic
 from sl3web.redgraph import (
     _fit_heads,
     _fitting_orientations,
@@ -23,10 +25,8 @@ from sl3web.redgraph import (
     find_fitting_orientation,
     g_reduction,
     grey_halves,
-    in_out_degrees,
     is_admissible,
     is_exact,
-    max_admissible_level,
     minimal_admissible_subgraph,
     orientation_index_sum,
     projection_degree_shift,
@@ -34,11 +34,33 @@ from sl3web.redgraph import (
     reduce_by_stack,
 )
 from sl3web.verify import _girth
-from sl3web.web import Web, validate
+from sl3web.web import Web, is_admissible_sequence, validate
 
 
 def flower_dual():
     return dual_graph(flower())
+
+
+def is_nice(red) -> bool:
+    return all(red.ed(f) <= 2 for f in red.faces)
+
+
+def in_out_degrees(red, orientation) -> dict[int, tuple[int, int]]:
+    counts = {f: [0, 0] for f in red.faces}
+    for _i, (tail, head) in orientation.items():
+        counts[head][0] += 1
+        counts[tail][1] += 1
+    return {f: (i, o) for f, (i, o) in counts.items()}
+
+
+def max_admissible_level(web):
+    """Largest index among admissible red graphs, or None when no red
+    graph of the web is admissible."""
+    best = None
+    for g in enumerate_red_graphs(web):
+        if (best is None or g.level > best) and is_admissible(g):
+            best = g.level
+    return best
 
 
 def test_dual_graph_shape():
@@ -69,6 +91,26 @@ def test_small_webs_have_no_red_graphs():
         assert list(enumerate_red_graphs(build())) == []
 
 
+def test_stack_enumeration_matches_recursive_oracle():
+    webs = [
+        web
+        for n in range(10)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    webs += generate_all_non_elliptic(FLOWER_SIGNS)
+    total = 0
+    for web in webs:
+        dual = dual_graph(web)
+        got = list(enumerate_red_graphs(web, dual))
+        want = list(redgraph_oracle.enumerate_red_graphs(dual))
+        assert [(r.faces, r.edges) for r in got] == [(r.faces, r.edges) for r in want]
+        assert [r.level for r in got] == [redgraph_oracle.level(r) for r in want]
+        total += len(got)
+    assert total == 1251
+
+
 def test_digon_arc_red_graph():
     web = digon_arc()
     reds = list(enumerate_red_graphs(web))
@@ -97,7 +139,7 @@ def test_flower_red_graph_census():
     assert all(petals.ed(f) == 2 for f in petals.faces)
     assert petals.level == 0
     assert is_exact(petals)
-    assert petals.is_fair() and petals.is_nice()
+    assert petals.is_fair() and is_nice(petals)
     assert petals.components() == [petals.faces]
 
 

@@ -27,7 +27,6 @@ from sl3web.web import (
     DartMap,
     Web,
     closure,
-    euler_region_count,
     face_colouring,
     find_elliptic_face,
     is_admissible_sequence,
@@ -151,6 +150,11 @@ def test_circle_regions():
     assert inner[0].is_disk
 
 
+def euler_region_count(web: Web) -> int:
+    """#regions - #edges + #vertices, which is 2 for a connected closed web."""
+    return len(regions(web)) - len(web.edges) + web.vertex_count
+
+
 def test_euler_count_closed_connected():
     for build in (circle_web, theta, cube):
         assert euler_region_count(build()) == 2
@@ -221,6 +225,22 @@ def test_closure_tripod_is_theta():
     assert glued.vertex_count == 2
     assert len(glued.edges) == 3
     assert len(regions(glued)) == 3
+
+
+def test_closure_keeps_negative_ids_apart():
+    # the closure shifts the mirrored copy past the other web's ids; a
+    # negative id in the mirrored web once landed on one of them
+    web = flower()
+    shifted = make_web(
+        [(h - 200, s) for h, s in web.boundary],
+        [(vid - 7, kind, [h - 200 for h in rot]) for vid, kind, rot in web.vertices],
+        [(t - 200, h - 200) for t, h in web.edges],
+    )
+    for w1, w2 in ((shifted, shifted), (shifted, web), (web, shifted)):
+        glued = closure(w1, w2)
+        assert validate(glued) == []
+        assert glued.vertex_count == 2 * web.vertex_count
+        assert len(glued.edges) == len(closure(web, web).edges)
 
 
 def test_closure_rejects_mismatch():
