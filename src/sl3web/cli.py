@@ -26,7 +26,6 @@ from .redgraph import (
     enumerate_red_graphs,
     g_reduction,
     is_admissible,
-    is_exact,
     projection_degree_shift,
     red_graph_from_faces,
 )
@@ -102,14 +101,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _red_record(red) -> dict:
-    admissible = is_admissible(red)
+def _red_record(red, admissible: bool) -> dict:
     record = {
         "faces": ",".join(str(f) for f in red.faces),
         "edges": len(red.edges),
         "index": red.level,
         "admissible": "yes" if admissible else "no",
-        "exact": "yes" if admissible and is_exact(red) else "no",
+        "exact": "yes" if admissible and red.level == 0 else "no",
     }
     if admissible:
         record["fitting_orientations"] = count_fitting_orientations(red)
@@ -123,11 +121,13 @@ def cmd_redgraphs(args) -> int:
     dual = dual_graph(web)
     records = []
     for red in enumerate_red_graphs(web, dual):
-        if args.admissible and not is_admissible(red):
+        # one orientation search per red graph; exact is admissible at index 0
+        admissible = is_admissible(red)
+        if args.admissible and not admissible:
             continue
-        if args.exact and not (is_admissible(red) and is_exact(red)):
+        if args.exact and not (admissible and red.level == 0):
             continue
-        records.append(_red_record(red))
+        records.append(_red_record(red, admissible))
     report = {
         "disk_faces": ",".join(str(f) for f in dual.disk_faces()) or "(none)",
         "count": len(records),

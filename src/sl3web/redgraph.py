@@ -11,9 +11,12 @@ index
 
     I(G) = 2 #faces - #edges - (1/2) sum ed(f)
 
-vanishes.  Reducing a web along a red graph deletes every web edge
-bordering a selected face together with the vertices those edges use,
-then splices the cut strands back together, pairwise around each face.
+vanishes.  One include-first walk over the disk faces reaches every red
+graph; the exact-red-graph search runs it with a floor on the index and
+skips the subtrees whose index bound cannot beat it.  Reducing a web
+along a red graph deletes every web edge bordering a selected face
+together with the vertices those edges use, then splices the cut
+strands back together, pairwise around each face.
 """
 
 from __future__ import annotations
@@ -166,27 +169,49 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
     stack of the faces taken and carries their red edges along.  Guarded
     for webs with more than MAX_ENUM_FACES disk faces.
     """
-    if dual is None:
-        dual = dual_graph(web)
+    yield from _walk_red_graphs(dual_graph(web) if dual is None else dual)
+
+
+def _walk_red_graphs(dual: DualGraph, floor=None):
+    """The walk behind enumerate_red_graphs.  Given `floor`, a callable
+    read afresh at every node, it builds only red graphs of index above
+    floor() and skips every subtree whose bound is at most floor().
+
+    The index l(S) = sum(2 - deg_D/2) + |E(S)| of the faces S taken is
+    kept along.  Charging each red edge to its earlier end, a later face
+    f adds at most gain(f) = 2 - deg_D(f)/2 + e(f, S) + e(f, disk faces
+    after f), so l(S) + sum(max(0, gain(f)) for f in disk[i:]) bounds
+    every red graph below the node deciding disk[i], corner rule or not.
+    """
     disk = dual.disk_faces()
     if len(disk) > MAX_ENUM_FACES:
         raise SizeGuardError(
             f"{len(disk)} disk faces; red graph enumeration is capped at {MAX_ENUM_FACES}"
         )
+    incidence = dual.incidence
+    if any(g == f for f in disk for _e, g in incidence[f]):
+        raise AssertionError("disk faces never bound both sides of an edge")
     by_face: dict[int, list[int]] = {f: [] for f in disk}
     for vid, corners in dual.corners.items():
         for c in corners:
             if c in by_face:
                 by_face[c].append(vid)
     count = {vid: 0 for vid in dual.corners}
-    incidence = dual.incidence
+    pos = {f: k for k, f in enumerate(disk)}
+    # per disk face: the disk faces after it across each of its edges
+    ahead = {f: [g for _e, g in incidence[f] if pos.get(g, -1) > pos[f]] for f in disk}
+    gain = {f: 2 - dual.degrees[f] // 2 + len(ahead[f]) for f in disk}
     taken = [False] * len(dual.degrees)
     chosen: list[int] = []  # indices into disk of the faces taken, increasing
-    marks: list[int] = []  # len(edges) before each chosen face was taken
+    marks: list[tuple[int, int, int]] = []  # (len(edges), level, rest) before each take
     edges: list[int] = []
+    level = 0  # l(S) of the faces taken
+    rest = sum(max(0, gain[f]) for f in disk)  # over disk[i:]; level + rest is the bound
     i = 0
     while True:
         while i < len(disk):
+            if floor is not None and level + rest <= floor():
+                break
             f = disk[i]
             blocked = False
             for vid in by_face[f]:
@@ -197,25 +222,36 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
                 for vid in by_face[f]:
                     count[vid] -= 1
             else:
-                marks.append(len(edges))
+                marks.append((len(edges), level, rest))
+                level += gain[f] - len(ahead[f])  # 2 - deg_D(f)/2 + e(f, S)
                 for e, g in incidence[f]:
-                    if g == f:
-                        raise AssertionError("disk faces never bound both sides of an edge")
                     if taken[g]:
                         edges.append(e)
+                for g in ahead[f]:
+                    rest += gain[g] >= 0
+                    gain[g] += 1
                 taken[f] = True
                 chosen.append(i)
+            if gain[f] > 0:
+                rest -= gain[f]
             i += 1
+        else:
+            if chosen and (floor is None or level > floor()):
+                yield RedGraph(dual, [disk[j] for j in chosen], sorted(edges))
         if not chosen:
             return
-        yield RedGraph(dual, [disk[j] for j in chosen], sorted(edges))
         # back to the last face taken, and leave it out instead
         i = chosen.pop()
         f = disk[i]
         taken[f] = False
-        del edges[marks.pop():]
+        for g in ahead[f]:
+            gain[g] -= 1
+        n, level, rest = marks.pop()
+        del edges[n:]
         for vid in by_face[f]:
             count[vid] -= 1
+        if gain[f] > 0:
+            rest -= gain[f]
         i += 1
 
 
@@ -263,13 +299,19 @@ def _fit_heads(pairs, caps):
     return heads
 
 
+def _caps(red: RedGraph) -> dict[int, int]:
+    """cap(f) = 2 - ed(f)/2 = 2 - deg_D(f)/2 + deg_G(f) for every face."""
+    degrees = red.dual.degrees
+    return {f: 2 - degrees[f] // 2 + d for f, d in red.degree_in_graph.items()}
+
+
 def find_fitting_orientation(red: RedGraph):
     """An orientation with indeg(f) <= cap(f) everywhere, or None.
 
     The returned orientation maps edge index -> (tail face, head face)
     and is re-checked against the caps before being returned.
     """
-    caps = {f: red.cap(f) for f in red.faces}
+    caps = _caps(red)
     if any(c < 0 for c in caps.values()):
         return None
     if len(red.edges) > sum(caps.values()):
@@ -321,7 +363,7 @@ def brute_force_fitting_orientation(red: RedGraph):
         raise SizeGuardError(
             f"{len(red.edges)} edges; brute force is capped at {BRUTE_FORCE_EDGE_LIMIT}"
         )
-    caps = {f: red.cap(f) for f in red.faces}
+    caps = _caps(red)
     if any(c < 0 for c in caps.values()):
         return None
     return next(_fitting_orientations(red, red.edges, caps), None)
@@ -336,7 +378,7 @@ def count_fitting_orientations(red: RedGraph) -> int:
         raise SizeGuardError(
             f"{len(red.edges)} edges; counting is capped at {COUNT_TOTAL_EDGE_LIMIT}"
         )
-    caps = {f: red.cap(f) for f in red.faces}
+    caps = _caps(red)
     if any(c < 0 for c in caps.values()):
         return 0
     total = 1
@@ -528,31 +570,36 @@ def find_exact_red_graph(web: Web) -> RedGraph | None:
     """An exact red graph of a non-elliptic web, or None when the web has
     no admissible red graph at all.
 
-    Scans every red graph, takes an admissible one of maximal index and
-    shrinks it to a minimal admissible subgraph, which must then have
-    index zero.  Two cross-checks guard the underlying facts: no
-    inadmissible red graph may have an index above every admissible one,
-    and the minimal subgraph must come out exact.
+    Takes the first admissible red graph of maximal index in walk order
+    and shrinks it to a minimal admissible subgraph, which must then have
+    index zero.  Two cross-checks guard the underlying facts: no red
+    graph may have an index above every admissible one, and the minimal
+    subgraph must come out exact.
+
+    A fitting orientation makes I(G) = sum(cap(f) - indeg(f)) >= 0, so
+    the walk's floor is -1 until an admissible red graph turns up, then
+    its index.  A skipped subtree could neither give a better red graph
+    nor fail a cross-check, so the result and the errors are those of a
+    scan of every red graph.
     """
     dual = dual_graph(web)
     if _elliptic_face(dual.table) is not None:
         raise ValueError("find_exact_red_graph expects a non-elliptic web")
     best = None
-    max_nonneg = None
-    for g in enumerate_red_graphs(web, dual):
-        if g.level >= 0 and (max_nonneg is None or g.level > max_nonneg):
-            max_nonneg = g.level
-        if is_admissible(g) and (best is None or g.level > best.level):
+    top = -1  # the largest index met; each red graph walked beats the floor
+    for g in _walk_red_graphs(dual, lambda: -1 if best is None else best.level):
+        top = max(top, g.level)
+        if is_admissible(g):
             best = g
     if best is None:
-        if max_nonneg is not None:
+        if top >= 0:
             raise TheoremViolationError(
-                f"a red graph of index {max_nonneg} >= 0 exists but none is admissible"
+                f"a red graph of index {top} >= 0 exists but none is admissible"
             )
         return None
-    if max_nonneg is not None and max_nonneg > best.level:
+    if top > best.level:
         raise TheoremViolationError(
-            f"red graph of index {max_nonneg} exists but the best admissible "
+            f"red graph of index {top} exists but the best admissible "
             f"index is {best.level}"
         )
     minimal = minimal_admissible_subgraph(best)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sl3web.bracket
+import sl3web.redgraph
 from sl3web.catalog import arc, circle_web, cube, digon_arc, flower, tripod
 from sl3web.cli import main
 from sl3web.generate import canonical_form
@@ -93,6 +94,26 @@ def test_redgraphs_digon_arc(webs, capsys):
     assert doc["count"] == 1
     assert doc["red_graph"][0]["admissible"] == "yes"
     assert doc["red_graph"][0]["index"] == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--admissible",), ("--exact",)])
+def test_redgraphs_searches_once_per_red_graph(webs, capsys, monkeypatch, flags):
+    calls = 0
+    solve = sl3web.redgraph.find_fitting_orientation
+
+    def counted(red):
+        nonlocal calls
+        calls += 1
+        return solve(red)
+
+    monkeypatch.setattr(sl3web.redgraph, "find_fitting_orientation", counted)
+    code, out = run(capsys, "redgraphs", webs["flower"], *flags, "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert calls == 81  # the flower's red graphs
+    assert doc["count"] == (81 if not flags else 1)
+    exact = [r["faces"] for r in doc["red_graph"] if r["exact"] == "yes"]
+    assert exact == ["12,13,14,15,16,17"]
 
 
 def test_reduce_writes_arc(webs, tmp_path, capsys):

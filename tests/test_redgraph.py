@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redgraph_oracle
+import sl3web.redgraph
 from sl3web.catalog import FLOWER_SIGNS, arc, cube, digon_arc, flower, theta, tripod
 from sl3web.errors import PairingError, StageMismatchError
 from sl3web.generate import canonical_form, generate_all_non_elliptic
 from sl3web.redgraph import (
+    RedGraph,
     _fit_heads,
     _fitting_orientations,
+    _walk_red_graphs,
     brute_force_fitting_orientation,
     corner_selection_ok,
     count_fitting_orientations,
@@ -34,7 +37,7 @@ from sl3web.redgraph import (
     reduce_by_stack,
 )
 from sl3web.verify import _girth
-from sl3web.web import Web, is_admissible_sequence, validate
+from sl3web.web import Web, is_admissible_sequence, make_web, validate
 
 
 def flower_dual():
@@ -312,6 +315,104 @@ def test_find_exact_red_graph():
     assert find_exact_red_graph(tripod()) is None
     with pytest.raises(ValueError):
         find_exact_red_graph(digon_arc())
+
+
+def _search_outcome(search, web):
+    """What an exact-red-graph search gives: the red graph's faces, edges
+    and index, None, or the error it raised."""
+    try:
+        red = search(web)
+    except Exception as exc:  # the two searches must raise alike
+        return type(exc).__name__, str(exc)
+    return None if red is None else (red.faces, red.edges, red.level)
+
+
+def _flower_rotations():
+    web = flower()
+    b = web.boundary
+    return [make_web(b[k:] + b[:k], web.vertices, web.edges, web.circles) for k in range(4)]
+
+
+def test_bounded_search_matches_full_scan_oracle():
+    webs = [
+        web
+        for n in range(10)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    flower_boundary = generate_all_non_elliptic(FLOWER_SIGNS)
+    assert len(flower_boundary) == 513
+    rotations = _flower_rotations()
+    assert len({w.signs for w in rotations}) == 4
+    found = 0
+    for web in webs + flower_boundary + rotations:
+        got = _search_outcome(find_exact_red_graph, web)
+        assert got == _search_outcome(redgraph_oracle.find_exact_red_graph, web)
+        found += got is not None
+    # one decomposable web over the flower boundary, and each rotation
+    assert found == 5
+
+
+def test_index_bound_is_sound_at_every_walk_node():
+    """At every node of the walk, the bound level + rest is at least the
+    largest index of a red graph below the node, found by trying every
+    set of remaining faces.  A floor below every index keeps the walk
+    from skipping any node."""
+    nodes = 0
+    for web in generate_all_non_elliptic(FLOWER_SIGNS):
+        dual = dual_graph(web)
+
+        def floor():
+            nonlocal nodes
+            at = walk.gi_frame.f_locals
+            disk, i = at["disk"], at["i"]
+            taken = [disk[j] for j in at["chosen"]]
+            best = None
+            for k in range(len(disk) - i + 1):
+                for more in itertools.combinations(disk[i:], k):
+                    faces = taken + list(more)
+                    if faces and corner_selection_ok(dual, faces):
+                        index = redgraph_oracle.level(RedGraph(dual, faces))
+                        best = index if best is None else max(best, index)
+            assert best is None or at["level"] + at["rest"] >= best, (taken, i)
+            nodes += 1
+            return float("-inf")
+
+        walk = _walk_red_graphs(dual, floor)
+        assert [(r.faces, r.edges) for r in walk] == [
+            (r.faces, r.edges) for r in redgraph_oracle.enumerate_red_graphs(dual)
+        ]
+    assert nodes > 400
+
+
+def test_bounded_search_builds_fewer_red_graphs(monkeypatch):
+    built = 0
+
+    class Counted(RedGraph):
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sl3web.redgraph, "RedGraph", Counted)
+    assert find_exact_red_graph(flower()).faces == (12, 13, 14, 15, 16, 17)
+    searched = built
+    built = 0
+    assert len(list(enumerate_red_graphs(flower()))) == built == 81
+    assert searched < built
+
+
+def test_walk_rejects_a_face_on_both_sides_of_an_edge():
+    dual = flower_dual()
+    face = dual.disk_faces()[0]
+    # a dual graph claiming that a disk face lies on both sides of edge 0
+    sides = ((face, face),) + dual.sides[1:]
+    bad = sl3web.redgraph.DualGraph(dual.web, dual.table, sides, dual.corners, dual.degrees)
+    # a floor that no red graph beats: the walk takes no face at all
+    for walk in (enumerate_red_graphs(bad.web, bad), _walk_red_graphs(bad, lambda: 10**6)):
+        with pytest.raises(AssertionError, match="both sides"):
+            next(walk)
 
 
 def test_red_graph_from_faces_checks_input():
