@@ -10,17 +10,17 @@ order is available for exercising confluence.  Circles only count:
 each leaf of the elimination contributes [2]^digons [3]^circles.
 
 The square relation branches, and different branches often converge on
-the same labelled map.  The unseeded bracket therefore walks the
-elimination as a DAG: digons are collapsed until a square is next, and
-each map met at a square is evaluated once, its leaf counts kept in a
-per-call memo keyed by the map's partner table (see _dag_leaves for why
-that key identifies the map).  The DAG walks the faces once, at the
-root, and then keeps a heap of its digon and square faces, re-walking
-after each splice only the faces next to the spliced one.  A seeded
-order walks the whole tree instead (_eliminate) and rescans every face
-after every step; it shares only the splice with the DAG, so it is the
-slow oracle the DAG is checked against.  Both refuse to expand more
-than MAX_SQUARE_BRANCHINGS squares.
+the same map.  The unseeded bracket therefore walks the elimination as
+a DAG over flat integer arrays: half-edges are numbered in label order,
+so the least (length, smallest half-edge) picks the faces the labels
+would, and each map met at a square is evaluated once, memoised by its
+partner array's bytes.  After one face walk at the root, a heap of
+digon and square faces is updated only next to each splice.  A seeded
+order walks the tree instead (_eliminate, on a DartMap) and rescans
+every face after every step; sharing no code with the DAG, it is the
+oracle the DAG is checked against.  Both refuse to expand more than
+MAX_SQUARE_BRANCHINGS squares.  classify keeps each web's result while
+the web lives, so decompose does not bracket the same web twice.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
@@ -33,6 +33,8 @@ the same multiset of (non-elliptic web, degree shift).
 from __future__ import annotations
 
 import heapq
+import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -101,8 +103,8 @@ def _count_branching(branchings: int) -> int:
     return branchings
 
 
-def _check_leaf(m: DartMap) -> None:
-    if m.rot:
+def _check_leaf(vertices_left) -> None:
+    if vertices_left:
         raise TheoremViolationError(
             "closed web with vertices but no circle, digon or square face"
         )
@@ -113,116 +115,144 @@ def _tree_leaves(web: Web, rng: Random | None = None) -> Counter:
     oracle for _dag_leaves."""
     leaves: Counter = Counter()
     for m, digons in _eliminate(web, rng):
-        _check_leaf(m)
+        _check_leaf(m.rot)
         leaves[digons, m.circles] += 1
     return leaves
 
 
-def _small_face(m: DartMap, h: int) -> list[int] | None:
-    """The face walk from half-edge h when it is a digon or a square
-    touching no boundary half-edge, else None; at most four steps."""
-    succ, partner, vertex_of = m.succ, m.partner, m.vertex_of
-    if h not in partner:
+# partner arrays hold 16-bit entries below this many half-edges, 32-bit above
+_NARROW_HALF_EDGES = 1 << 15
+
+
+def _dart_arrays(web: Web):
+    """A closed web over its half-edges numbered 0..H-1 in label order:
+    rotation successors, each half-edge's vertex rotation, and the
+    partner array, where -1 marks a deleted half-edge."""
+    index = {h: i for i, h in enumerate(sorted(x for e in web.edges for x in e))}
+    succ, corner = [0] * len(index), [()] * len(index)
+    for _vid, _kind, rot in web.vertices:
+        rot = tuple(index[h] for h in rot)
+        for i, h in enumerate(rot):
+            succ[h], corner[h] = rot[i + 1 - len(rot)], rot
+    partner = array("h" if len(index) < _NARROW_HALF_EDGES else "i", [-1]) * len(index)
+    for t, h in web.edges:
+        partner[index[t]], partner[index[h]] = index[h], index[t]
+    return succ, corner, partner
+
+
+def _small_faces(succ, partner) -> list[int]:
+    """One walk over every face orbit: the heap of the digons, entered as
+    their smallest half-edge h, and the squares, entered as H + h."""
+    seen, heap = bytearray(len(succ)), []
+    for h in range(len(succ)):
+        x, length = h, 0
+        while not seen[x]:
+            seen[x] = 1
+            length += 1
+            x = succ[partner[x]]
+        if length in (2, 4):
+            heap.append(h + (length == 4) * len(succ))
+    heapq.heapify(heap)
+    return heap
+
+
+def _face(succ, partner, h: int) -> list[int] | None:
+    """The walk from half-edge h round its face when h is live and the
+    face is a digon or a square, else None."""
+    if partner[h] < 0:
         return None
-    walk: list[int] = []
-    x = h
-    while x in vertex_of and len(walk) < 4:
-        walk.append(x)
-        x = succ[partner[x]]
-        if x == h:
-            return walk if len(walk) in (2, 4) else None
-    return None
+    x = succ[partner[h]]
+    if (y := succ[partner[x]]) == h:
+        return [h, x] if x != h else None
+    z = succ[partner[y]]
+    return [h, x, y, z] if z != h and succ[partner[z]] == h else None
 
 
-def _next_face(m: DartMap, heap: list) -> list[int] | None:
+def _next_face(succ, partner, heap: list) -> list[int] | None:
     """The digon or square face of least (length, smallest half-edge),
     walked from that half-edge, or None.  Entries whose face is gone or
     changed length are dropped; a face whose smallest half-edge changed
     has a smaller entry of its own, which comes up first."""
     while heap:
-        length, h = heap[0]
-        walk = _small_face(m, h)
-        if walk is not None and len(walk) == length:
+        square, h = divmod(heap[0], len(succ))
+        if (walk := _face(succ, partner, h)) is not None and len(walk) == 2 + 2 * square:
             return walk
         heapq.heappop(heap)
     return None
 
 
-def _splice_face(m: DartMap, heap: list, walk, links) -> None:
-    """Splice a face out through DartMap.splice, joining its spokes as
-    links(spokes) says, and push the digon and square faces it leaves.
-    Every face the splice changes runs through a surviving far end of
-    one of the spokes."""
-    corners, spokes = m.spokes(walk)
-    far = [m.partner[s] for s in spokes]
-    m.splice(corners, links(spokes))
+def _splice_face(succ, corner, partner, heap: list, walk, turn: int) -> int:
+    """Splice a face out of the partner array: delete its corners and join
+    its spokes in adjacent pairs, the first pair at walk[turn] (a digon
+    takes turn 0, a square's two smoothings 0 and 1).  Push the digon
+    and square faces it leaves and return the circles it closes.  Every
+    face the splice changes runs through a surviving far end of a spoke."""
+    spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
+    far = [partner[s] for s in spokes]
+    cut = {h for d in walk for h in corner[d]}
+    link = {s: spokes[i ^ 1] for i, s in enumerate(spokes)}
+    circles = 0
+    # strands from a live far end, over links and spoke-to-spoke edges, to
+    # another one; then loops of spokes alone.  Spokes walked are set -1.
+    for u in [*(s for s, p in zip(spokes, far) if p not in cut), *spokes]:
+        x, p = u, partner[u]
+        if p < 0:
+            continue
+        while (q := partner[link[x]]) in cut and q != u:
+            partner[x] = partner[link[x]] = -1
+            x = q
+        partner[x] = partner[link[x]] = -1
+        if q == u:
+            circles += 1
+        else:
+            partner[p], partner[q] = q, p
+    for h in cut:
+        partner[h] = -1
     for p in far:
-        w = _small_face(m, p)
-        if w is not None:
-            heapq.heappush(heap, (len(w), min(w)))
-
-
-def _settle(m: DartMap, heap: list):
-    """Collapse digons in the default order until the next face is a
-    square or none is left; return (digons collapsed, square walk or
-    None)."""
-    digons = 0
-    while (walk := _next_face(m, heap)) is not None and len(walk) == 2:
-        _splice_face(m, heap, walk, lambda sp: [(sp[0], sp[1])])
-        digons += 1
-    return digons, walk
+        if (w := _face(succ, partner, p)) is not None:
+            heapq.heappush(heap, min(w) + (len(w) == 4) * len(succ))
+    return circles
 
 
 def _dag_leaves(web: Web) -> Counter:
-    """Leaf counts by (digons, circles) of the default-order elimination,
-    with every labelled map met at a square evaluated once.
+    """Leaf counts by (digons, circles) of the default-order elimination
+    of a closed web, with every map met at a square evaluated once.
 
-    The faces are walked once, at the root; after that each map carries
-    a heap of (length, smallest half-edge) over its digon and square
-    faces that touch no boundary half-edge, which _splice_face keeps up
-    to date.  A square node's counts are relative to the node: digons
-    collapsed and circles closed below it.  The memo key is the partner
-    table's values: the splice only reassigns and deletes partner
-    entries, so the keys run in the web's order restricted to the
-    survivors and the values fix the map.  Circles are left out of the
-    key because the counts are relative.  The walk keeps an explicit
-    stack of frames (key, counts, pending children).
+    A node owns only its partner array (see _dart_arrays) and its heap
+    of digon and square faces, kept up to date by _splice_face after
+    the one face walk at the root.  Counts are relative to their node,
+    so the memo key, the partner array's bytes, leaves circles out.  The
+    walk keeps an explicit stack of frames (key, counts, pending
+    children); the root's frame has key None.
     """
-    m = DartMap(web)
-    heap = [
-        (len(o), min(o)) for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)
-    ]
-    heapq.heapify(heap)
-    digons, walk = _settle(m, heap)
-    if walk is None:
-        _check_leaf(m)
-        return Counter({(digons, m.circles): 1})
-    memo: dict[tuple, Counter] = {}
+    succ, corner, partner = _dart_arrays(web)
+    memo: dict[bytes | None, Counter] = {}
     branchings = 0
+
+    def settle(node, heap, circles, counts, pending):
+        """Collapse digons; then count a leaf or file a pending square."""
+        digons = 0
+        while (walk := _next_face(succ, node, heap)) is not None and len(walk) == 2:
+            circles += _splice_face(succ, corner, node, heap, walk, 0)
+            digons += 1
+        if walk is None:
+            _check_leaf(node.count(-1) < len(node))
+            counts[digons, circles] += 1
+        else:
+            pending.append((digons, circles, node.tobytes(), node, heap, walk))
 
     def frame(key, node, heap, walk):
         nonlocal branchings
         branchings = _count_branching(branchings)
-        base = node.circles
         heapq.heappop(heap)
-        other, other_heap = node.copy(), heap.copy()
-        _splice_face(other, other_heap, walk, lambda sp: _smoothings(sp)[1])
-        _splice_face(node, heap, walk, lambda sp: _smoothings(sp)[0])
-        counts: Counter = Counter()
-        pending = []
-        for child, child_heap in ((other, other_heap), (node, heap)):
-            d, w = _settle(child, child_heap)
-            c = child.circles - base
-            if w is None:
-                _check_leaf(child)
-                counts[d, c] += 1
-            else:
-                pending.append((d, c, tuple(child.partner.values()), child, child_heap, w))
+        counts, pending = Counter(), []
+        for child, child_heap, turn in ((node[:], heap.copy(), 1), (node, heap, 0)):
+            circles = _splice_face(succ, corner, child, child_heap, walk, turn)
+            settle(child, child_heap, circles, counts, pending)
         return key, counts, pending
 
-    circles = m.circles
-    root = tuple(m.partner.values())
-    stack = [frame(root, m, heap, walk)]
+    stack = [(None, Counter(), [])]
+    settle(partner, _small_faces(succ, partner), web.circles, *stack[0][1:])
     while stack:
         key, counts, pending = stack[-1]
         while pending and pending[-1][2] in memo:
@@ -234,7 +264,7 @@ def _dag_leaves(web: Web) -> Counter:
         else:
             stack.pop()
             memo[key] = counts
-    return Counter({(dd + digons, cc + circles): n for (dd, cc), n in memo[root].items()})
+    return memo[None]
 
 
 @cache
@@ -355,10 +385,17 @@ class VirtualClass:
     level: int  # half the degree overshoot, 0 for indecomposable webs
 
 
+# classify's results, each kept while its web is alive
+_classes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def classify(web: Web) -> VirtualClass:
     """Decide from <wbar w> whether the web's module is a single
     indecomposable: that happens exactly when the self-pairing is monic
-    of degree equal to the boundary weight."""
+    of degree equal to the boundary weight.  The result is kept while
+    the web lives, so an equal web (decompose's pieces) is a lookup."""
+    if (found := _classes.get(web)) is not None:
+        return found
     value = hom_poly(web, web)
     if not value:
         raise TheoremViolationError("self-pairing of a web evaluated to zero")
@@ -371,4 +408,5 @@ def classify(web: Web) -> VirtualClass:
             f"self-pairing degree {deg} impossible for boundary weight {weight}"
         )
     indec = value.is_monic_of_degree(weight)
-    return VirtualClass(value, weight, indec, (deg - weight) // 2)
+    found = _classes[web] = VirtualClass(value, weight, indec, (deg - weight) // 2)
+    return found

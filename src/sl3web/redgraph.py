@@ -539,6 +539,8 @@ def minimal_admissible_subgraph(red: RedGraph) -> RedGraph:
     orientation to such a set only drops incoming edges, so it stays
     fitting), then scans the remaining subsets smallest-first; the first
     admissible one found cannot contain a smaller admissible subgraph.
+    A fitting orientation forces index >= 0, so the scan solves only
+    subsets of index >= 0.
     """
     orientation = find_fitting_orientation(red)
     if orientation is None:
@@ -561,7 +563,7 @@ def minimal_admissible_subgraph(red: RedGraph) -> RedGraph:
     for size in range(1, len(red.faces)):
         for combo in itertools.combinations(red.faces, size):
             candidate = RedGraph(red.dual, combo)
-            if find_fitting_orientation(candidate) is not None:
+            if candidate.level >= 0 and find_fitting_orientation(candidate) is not None:
                 return candidate
     return red
 

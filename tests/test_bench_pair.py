@@ -75,3 +75,23 @@ def test_error_runs_count_as_failed():
     assert summary["w"]["failed"] == {"base": 4, "change": 2}
     assert summary["w"]["pairs"] == 1
     assert summary["other"] == {"pairs": 0, "failed": {"base": 0, "change": 1}, "metrics": {}}
+
+
+def test_peak_rss_carries_each_sides_median_attempted():
+    def record(pair, side, rss, attempted):
+        metrics = {"peak_rss_mb": rss, "items_per_s": 1.0}
+        return {"workload": "w", "pair": pair, "side": side, "failed": 0,
+                "attempted": attempted, "metrics": metrics}
+
+    runs = [
+        record(0, "base", 40.0, 100), record(0, "change", 44.0, 130),
+        record(1, "change", 45.0, 150), record(1, "base", 41.0, 110),
+        record(2, "base", 42.0, 120), record(2, "change", 43.0, 140),
+        # an unpaired run counts for no side
+        record(3, "base", 90.0, 999),
+    ]
+    metrics = {"peak_rss_mb": "lower", "items_per_s": "higher"}
+    entry = bench_pair.summarise(runs, metrics)["w"]["metrics"]
+    assert entry["peak_rss_mb"]["attempted"] == {"base": 110, "change": 140}
+    assert entry["peak_rss_mb"]["change"]["median"] == 44.0
+    assert "attempted" not in entry["items_per_s"]

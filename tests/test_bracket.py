@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import itertools
 import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -32,7 +33,7 @@ from sl3web.catalog import (
     theta,
     tripod,
 )
-from sl3web.errors import BoundaryMismatchError, SizeGuardError
+from sl3web.errors import BoundaryMismatchError, SizeGuardError, TheoremViolationError
 from sl3web.generate import canonical_form, generate_all_non_elliptic, generate_closed
 from sl3web.laurent import LaurentPoly, quantum_integer
 from sl3web.redgraph import enumerate_pairings, g_reduction, red_graph_from_faces
@@ -238,11 +239,16 @@ def _replay_corpus():
 
 
 def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
+    # every pick, translated back to the web's labels, is the face a full
+    # DartMap rescan of the same map picks
     tracked = bracket_module._next_face
     steps = []
+    current = {}
 
-    def checked(m, heap):
-        walk = tracked(m, heap)
+    def checked(succ, partner, heap):
+        walk = tracked(succ, partner, heap)
+        labels, m = current["labels"], current["map"].copy()
+        m.partner = {labels[h]: labels[p] for h, p in enumerate(partner) if p >= 0}
         orbits = [
             o for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)
         ]
@@ -250,31 +256,92 @@ def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
         if want is None:
             assert walk is None
         else:
-            assert walk is not None and walk[0] == min(walk)
-            assert (len(walk), min(walk)) == (len(want), min(want))
-            assert set(walk) == set(want)
+            got = [labels[h] for h in walk]
+            assert got[0] == min(got)
+            assert (len(got), min(got)) == (len(want), min(want))
+            assert set(got) == set(want)
         steps.append(walk is not None)
         return walk
 
     monkeypatch.setattr(bracket_module, "_next_face", checked)
     for web in _replay_corpus():
+        current.update(labels=sorted(x for e in web.edges for x in e), map=DartMap(web))
         bracket_module._dag_leaves(web)
     assert sum(steps) > 10_000
 
 
 def test_dag_walks_the_faces_once(monkeypatch):
+    # one walk over every face at the root; after that only the faces
+    # next to each splice, a few walks of at most four steps each
     web = closure(flower(), flower())
-    calls = []
-    faces = DartMap.faces
+    calls = Counter()
 
-    def counted(self):
-        calls.append(1)
-        return faces(self)
+    def counted(name):
+        original = getattr(bracket_module, name)
 
-    monkeypatch.setattr(DartMap, "faces", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bracket_module, name, wrapper)
+
+    for name in ("_small_faces", "_face", "_splice_face"):
+        counted(name)
+    monkeypatch.setattr(DartMap, "faces", lambda self: pytest.fail("a full rescan"))
     leaves = bracket_module._dag_leaves(web)
     assert sum(leaves.values()) > 1  # squares were split
-    assert len(calls) == 1
+    assert calls["_small_faces"] == 1
+    assert calls["_face"] < 8 * calls["_splice_face"]
+
+
+def _renamed(web: Web, rename) -> Web:
+    """The web with every half-edge h renamed rename(h)."""
+    return make_web(
+        [(rename(h), s) for h, s in web.boundary],
+        [(v, kind, [rename(h) for h in rot]) for v, kind, rot in web.vertices],
+        [(rename(t), rename(h)) for t, h in web.edges],
+        web.circles,
+    )
+
+
+@pytest.mark.parametrize("typecode", ["h", "i"])
+def test_dag_matches_tree_on_any_half_edge_ids(monkeypatch, typecode):
+    # negative, sparse and very large ids; a decreasing renaming reverses
+    # the label order and with it the elimination order.  The partner
+    # arrays are 16-bit below _NARROW_HALF_EDGES half-edges; lowering it
+    # to 0 forces 32-bit entries on these small webs.
+    if typecode == "i":
+        monkeypatch.setattr(bracket_module, "_NARROW_HALF_EDGES", 0)
+    renames = [lambda h: -7 - h, lambda h: 1000 * h - 999, lambda h: 2**40 - 3 * h]
+    webs = [closure(flower(), flower()), _prism(8), cube(), theta(), circle_web(2)]
+    webs += [closure(w, w) for w in generate_all_non_elliptic("+-+-+-")]
+    for web in webs:
+        for rename in renames:
+            renamed = _renamed(web, rename)
+            assert bracket_module._dart_arrays(renamed)[2].typecode == typecode
+            leaves = bracket_module._dag_leaves(renamed)
+            assert leaves == bracket_module._tree_leaves(renamed)
+            assert bracket_module._evaluate(renamed) == bracket(web)
+
+
+def _torus_k33(digon: bool = False) -> Web:
+    """K_{3,3} with the rotation system whose three faces are hexagons: a
+    closed web on the torus without a circle, digon or square.  With
+    `digon`, the edge 0 -> 1 runs through a digon instead."""
+    verts = [(i, SOURCE, (6 * i, 6 * i + 2, 6 * i + 4)) for i in range(3)]
+    verts += [(3 + j, SINK, (2 * j + 1, 2 * j + 7, 2 * j + 13)) for j in range(3)]
+    edges = [(2 * k, 2 * k + 1) for k in range(9)]
+    if digon:
+        verts += [(6, SINK, (100, 102, 101)), (7, SOURCE, (103, 104, 105))]
+        edges[0:1] = [(0, 100), (103, 101), (104, 102), (105, 1)]
+    return make_web((), verts, edges)
+
+
+def test_a_leaf_with_vertices_is_a_theorem_violation():
+    for web in (_torus_k33(), _torus_k33(digon=True)):
+        for leaves in (bracket_module._dag_leaves, bracket_module._tree_leaves):
+            with pytest.raises(TheoremViolationError, match="no circle, digon or square"):
+                leaves(web)
 
 
 def test_square_branchings_are_capped(monkeypatch):

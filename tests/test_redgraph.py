@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import gc
+import importlib.util
 import itertools
+import weakref
+import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -8,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redgraph_oracle
+import sl3web.bracket
 import sl3web.redgraph
+from sl3web.bracket import classify
 from sl3web.catalog import FLOWER_SIGNS, arc, cube, digon_arc, flower, theta, tripod
 from sl3web.errors import PairingError, StageMismatchError
 from sl3web.generate import canonical_form, generate_all_non_elliptic
@@ -37,7 +44,7 @@ from sl3web.redgraph import (
     reduce_by_stack,
 )
 from sl3web.verify import _girth
-from sl3web.web import Web, is_admissible_sequence, make_web, validate
+from sl3web.web import Web, closure, is_admissible_sequence, make_web, validate
 
 
 def flower_dual():
@@ -308,6 +315,46 @@ def test_minimal_admissible_subgraph_is_fixed_point_on_flower():
     assert is_exact(minimal)
 
 
+def _pool_polyhex(size: int) -> Web:
+    """The polyhex web of `size` hexagons from the benchmark's shape pool."""
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location("polyhex", os.path.join(bench, "polyhex.py"))
+    polyhex = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(polyhex)
+    with open(os.path.join(bench, "data", "polyhex.json")) as f:
+        (shape,) = [s for s in json.load(f)["shapes"] if s["size"] == size]
+    return polyhex.polyhex_web([tuple(h) for h in shape["patch"]])
+
+
+def test_negative_index_red_graphs_never_fit():
+    # the fact minimal_admissible_subgraph's scan leans on
+    negative = 0
+    for web in generate_all_non_elliptic(FLOWER_SIGNS):
+        for red in enumerate_red_graphs(web):
+            if red.level < 0:
+                negative += 1
+                assert find_fitting_orientation(red) is None
+    assert negative > 200
+
+
+@pytest.mark.parametrize("size", [None, 14])
+def test_minimal_subgraph_scan_solves_only_nonnegative_indices(monkeypatch, size):
+    # the flower, or the 14-hexagon polyhex web: the search solved 64 red
+    # graphs before the scan skipped negative indices, 62 of them subsets
+    web = flower() if size is None else _pool_polyhex(size)
+    solved = []
+    solve = sl3web.redgraph.find_fitting_orientation
+
+    def counted(red):
+        solved.append(red.level)
+        return solve(red)
+
+    monkeypatch.setattr(sl3web.redgraph, "find_fitting_orientation", counted)
+    exact = find_exact_red_graph(web)
+    assert exact.level == 0 and len(exact.faces) == 6
+    assert solved == [0, 0]  # the walk's admissibility test, then the scan's start
+
+
 def test_find_exact_red_graph():
     exact = find_exact_red_graph(flower())
     assert exact is not None
@@ -458,6 +505,38 @@ def test_decompose_flower_reports_incomplete():
     piece, shift = dec.factors[0]
     assert shift == 0
     assert piece.vertex_count == 0 and len(piece.edges) == 6
+
+
+def test_decompose_reuses_the_classified_bracket(monkeypatch):
+    def shifted_flower():
+        # ids no other test uses, so no other live web equals this one
+        w = flower()
+        return make_web(
+            [(h + 7919, s) for h, s in w.boundary],
+            [(v, kind, [h + 7919 for h in rot]) for v, kind, rot in w.vertices],
+            [(t + 7919, h + 7919) for t, h in w.edges],
+        )
+
+    bracketed = []
+    dag_leaves = sl3web.bracket._dag_leaves
+
+    def counted(web):
+        bracketed.append(web)
+        return dag_leaves(web)
+
+    monkeypatch.setattr(sl3web.bracket, "_dag_leaves", counted)
+    web = shifted_flower()
+    assert not classify(web).indecomposable
+    assert not decompose(web).complete
+    assert len(bracketed) > 1  # decompose brackets the reduced pieces
+    assert bracketed.count(closure(web, web)) == 1
+    # the entry lives as long as the web, and keeps it alive no longer
+    probe, gone = shifted_flower(), weakref.ref(web)
+    assert probe in sl3web.bracket._classes
+    del web
+    gc.collect()
+    assert gone() is None
+    assert probe not in sl3web.bracket._classes
 
 
 def test_decompose_cube_closed_web():

@@ -16,7 +16,8 @@ The file holds:
   attempted and failed operations and end-to-end metrics;
 - summary: per workload and metric, each side's median and quartiles,
   the number of pairs the working tree won, and whether the medians
-  differ by more than the base's interquartile distance.
+  differ by more than the base's interquartile distance; peak_rss_mb
+  also holds each side's median of attempted operations.
 
 Metric directions come from BENCHMARK.json, which is only read.
 Standard library only.
@@ -125,6 +126,18 @@ def summarise(runs, metrics):
                 "ratio": cq[1] / bq[1] if bq[1] else None,
                 "wins": wins,
                 "beyond_base_iqr": abs(cq[1] - bq[1]) > bq[2] - bq[0],
+            }
+        rss = entry["metrics"].get("peak_rss_mb")
+        if rss is not None:
+            # the harness keeps a record per operation, so RSS is read
+            # against the number of operations
+            rss["attempted"] = {
+                side: statistics.median(
+                    r.get("attempted") or 0
+                    for r in ours
+                    if r["side"] == side and r["pair"] in pairs and "metrics" in r
+                )
+                for side in ("base", "change")
             }
         summary[workload] = entry
     return summary
