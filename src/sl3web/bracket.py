@@ -10,24 +10,24 @@ order is available for exercising confluence.  Circles only count:
 each leaf of the elimination contributes [2]^digons [3]^circles.
 
 The square relation branches, and different branches often converge on
-the same map.  The unseeded bracket therefore walks the elimination as
-a DAG over flat integer arrays: half-edges are numbered in label order,
-so the least (length, smallest half-edge) picks the faces the labels
-would, and each map met at a square is evaluated once, memoised by its
-partner array's bytes.  After one face walk at the root, a heap of
-digon and square faces is updated only next to each splice.  A seeded
-order walks the tree instead (_eliminate, on a DartMap) and rescans
-every face after every step; sharing no code with the DAG, it is the
-oracle the DAG is checked against.  Both refuse to expand more than
-MAX_SQUARE_BRANCHINGS squares.  classify keeps each web's result while
-the web lives, so decompose does not bracket the same web twice.
+the same map.  One routine, _dag_leaves, therefore walks every
+elimination as a DAG over flat integer arrays: half-edges are numbered
+in label order, so the least (length, smallest half-edge) picks the
+faces the labels would, and each map met at a square is evaluated once,
+memoised by its partner array's bytes.  After one face walk at the root,
+a heap of digon and square faces is updated only next to each splice.
+A seeded order draws from the live faces on that heap instead of taking
+the least.  The walk refuses to expand more than MAX_SQUARE_BRANCHINGS
+squares.  classify keeps each web's result while the web lives, so
+decompose does not bracket the same web twice.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
-picture would draw as the outer region.  split_elliptic runs the tree
-elimination on webs with boundary, leaving alone the faces that touch
-the boundary; since non-elliptic webs form a basis, every order yields
-the same multiset of (non-elliptic web, degree shift).
+picture would draw as the outer region.  split_elliptic runs the same
+walk on webs with boundary, where no face through the border is ever
+offered, and turns each leaf back into a web; since non-elliptic webs
+form a basis, every order yields the same multiset of (non-elliptic
+web, degree shift).
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from random import Random
 
 from .errors import BoundaryMismatchError, SizeGuardError, TheoremViolationError
 from .laurent import LaurentPoly, quantum_integer
-from .web import DartMap, Region, Web, closure, require_valid
+from .web import DartMap, Region, Web, closure, make_web, require_valid
 
 QINT2 = quantum_integer(2)
 QINT3 = quantum_integer(3)
 
-# square branchings one bracket may expand: nodes of the elimination DAG,
-# or of the tree in a seeded order
+# square branchings one elimination may expand: nodes of its DAG
 MAX_SQUARE_BRANCHINGS = 200_000
 
 
@@ -58,85 +57,42 @@ def _smoothings(spokes):
     return [(a, b), (c, d)], [(b, c), (d, a)]
 
 
-def _eliminate(web: Web, rng: Random | None = None):
-    """Eliminate every digon and square face that touches no boundary
-    half-edge; yield the leaves as (map, digons removed).
-
-    Each leaf's value is [2]^digons [3]^circles, the circles left on its
-    map; a square splits into its two smoothings.  The worklist is last
-    in, first out, so only one pending copy per square on the current
-    path is held.
-    """
-    work = [(DartMap(web), 0)]
-    branchings = 0
-    while work:
-        m, digons = work.pop()
-        vertex_of = m.vertex_of
-        orbits = [
-            o for o in m.faces() if len(o) in (2, 4) and all(d in vertex_of for d in o)
-        ]
-        if not orbits:
-            yield m, digons
-            continue
-        orbits.sort(key=lambda o: (len(o), min(o)))
-        orbit = orbits[0] if rng is None else rng.choice(orbits)
-        corners, sp = m.spokes(orbit)
-        if len(orbit) == 2:
-            m.splice(corners, [(sp[0], sp[1])])
-            work.append((m, digons + 1))
-        else:
-            branchings = _count_branching(branchings)
-            first, second = _smoothings(sp)
-            other = m.copy()
-            other.splice(corners, second)
-            work.append((other, digons))
-            m.splice(corners, first)
-            work.append((m, digons))
-
-
 def _count_branching(branchings: int) -> int:
     branchings += 1
     if branchings > MAX_SQUARE_BRANCHINGS:
         raise SizeGuardError(
-            f"the bracket is capped at {MAX_SQUARE_BRANCHINGS} square branchings"
+            f"the elimination is capped at {MAX_SQUARE_BRANCHINGS} square branchings"
         )
     return branchings
-
-
-def _check_leaf(vertices_left) -> None:
-    if vertices_left:
-        raise TheoremViolationError(
-            "closed web with vertices but no circle, digon or square face"
-        )
-
-
-def _tree_leaves(web: Web, rng: Random | None = None) -> Counter:
-    """Leaf counts by (digons, circles) of the elimination tree; the
-    oracle for _dag_leaves."""
-    leaves: Counter = Counter()
-    for m, digons in _eliminate(web, rng):
-        _check_leaf(m.rot)
-        leaves[digons, m.circles] += 1
-    return leaves
 
 
 # partner arrays hold 16-bit entries below this many half-edges, 32-bit above
 _NARROW_HALF_EDGES = 1 << 15
 
 
+def _typecode(half_edges: int) -> str:
+    return "h" if half_edges < _NARROW_HALF_EDGES else "i"
+
+
 def _dart_arrays(web: Web):
-    """A closed web over its half-edges numbered 0..H-1 in label order:
-    rotation successors, each half-edge's vertex rotation, and the
-    partner array, where -1 marks a deleted half-edge."""
+    """A web over its half-edges numbered 0..H-1 in label order: rotation
+    successors, each half-edge's vertex rotation (none at the border),
+    and the partner array, where -1 marks a deleted half-edge.  A web
+    with boundary gets one more half-edge, H: its own partner, and the
+    successor of itself and of every boundary half-edge, so a face walk
+    that reaches the border stays at H and never closes."""
     index = {h: i for i, h in enumerate(sorted(x for e in web.edges for x in e))}
-    succ, corner = [0] * len(index), [()] * len(index)
+    n = len(index) + bool(web.boundary)
+    succ, corner = [n - 1] * n, [()] * n
     for _vid, _kind, rot in web.vertices:
         rot = tuple(index[h] for h in rot)
         for i, h in enumerate(rot):
             succ[h], corner[h] = rot[i + 1 - len(rot)], rot
-    partner = array("h" if len(index) < _NARROW_HALF_EDGES else "i", [-1]) * len(index)
+    partner = array(_typecode(n), [-1]) * n
     for t, h in web.edges:
         partner[index[t]], partner[index[h]] = index[h], index[t]
+    if web.boundary:
+        partner[-1] = n - 1
     return succ, corner, partner
 
 
@@ -168,11 +124,22 @@ def _face(succ, partner, h: int) -> list[int] | None:
     return [h, x, y, z] if z != h and succ[partner[z]] == h else None
 
 
-def _next_face(succ, partner, heap: list) -> list[int] | None:
+def _next_face(succ, partner, heap: list, rng: Random | None = None) -> list[int] | None:
     """The digon or square face of least (length, smallest half-edge),
-    walked from that half-edge, or None.  Entries whose face is gone or
-    changed length are dropped; a face whose smallest half-edge changed
-    has a smaller entry of its own, which comes up first."""
+    or with rng one drawn uniformly from the live faces on the heap in
+    that order, walked from its smallest half-edge; None when there is
+    none.  Entries whose face is gone or changed length are dropped; a
+    face whose smallest half-edge changed has an entry of its own at
+    the new one, which comes up first."""
+    if rng is not None:
+        live = {}
+        for entry in heap:
+            square, h = divmod(entry, len(succ))
+            walk = _face(succ, partner, h)
+            if walk is not None and len(walk) == 2 + 2 * square and min(walk) == h:
+                live[entry] = walk
+        heap[:] = sorted(live)
+        return live[rng.choice(heap)] if heap else None
     while heap:
         square, h = divmod(heap[0], len(succ))
         if (walk := _face(succ, partner, h)) is not None and len(walk) == 2 + 2 * square:
@@ -214,57 +181,59 @@ def _splice_face(succ, corner, partner, heap: list, walk, turn: int) -> int:
     return circles
 
 
-def _dag_leaves(web: Web) -> Counter:
-    """Leaf counts by (digons, circles) of the default-order elimination
-    of a closed web, with every map met at a square evaluated once.
+def _dag_leaves(web: Web, rng: Random | None = None) -> Counter:
+    """Leaf counts by (digons, circles, leaf) of the elimination of a
+    web's digon and square faces, in the default order or one drawn
+    from rng, with every map met at a square evaluated once.  A leaf is
+    its partner array's bytes, or b"" when no half-edge is left; a
+    closed web must leave none.
 
     A node owns only its partner array (see _dart_arrays) and its heap
     of digon and square faces, kept up to date by _splice_face after
     the one face walk at the root.  Counts are relative to their node,
     so the memo key, the partner array's bytes, leaves circles out.  The
-    walk keeps an explicit stack of frames (key, counts, pending
-    children); the root's frame has key None.
+    walk keeps an explicit stack of frames (key, digons, circles above
+    the node, counts, spliced children yet to settle), depth first as
+    the tree walks; the root's frame has key None.
     """
     succ, corner, partner = _dart_arrays(web)
-    memo: dict[bytes | None, Counter] = {}
+    memo: dict[bytes, Counter] = {}
     branchings = 0
 
-    def settle(node, heap, circles, counts, pending):
-        """Collapse digons; then count a leaf or file a pending square."""
+    def add(counts, leaves, digons, circles):
+        for (d, c, leaf), n in leaves.items():
+            counts[d + digons, c + circles, leaf] += n
+
+    stack = [(None, 0, 0, Counter(), [(partner, _small_faces(succ, partner), web.circles)])]
+    while True:
+        key, digons, circles, counts, pending = stack[-1]
+        if not pending:
+            stack.pop()
+            if not stack:
+                return counts
+            memo[key] = counts
+            add(stack[-1][3], counts, digons, circles)
+            continue
+        # collapse digons; then count a leaf or open the square's frame
+        node, heap, circles = pending.pop()
         digons = 0
-        while (walk := _next_face(succ, node, heap)) is not None and len(walk) == 2:
+        while (walk := _next_face(succ, node, heap, rng)) is not None and len(walk) == 2:
             circles += _splice_face(succ, corner, node, heap, walk, 0)
             digons += 1
         if walk is None:
-            _check_leaf(node.count(-1) < len(node))
-            counts[digons, circles] += 1
+            leaf = node.tobytes() if node.count(-1) < len(node) else b""
+            if leaf and not web.boundary:
+                raise TheoremViolationError("closed web with vertices but no circle, digon or square face")
+            counts[digons, circles, leaf] += 1
+        elif (key := node.tobytes()) in memo:
+            add(counts, memo[key], digons, circles)
         else:
-            pending.append((digons, circles, node.tobytes(), node, heap, walk))
-
-    def frame(key, node, heap, walk):
-        nonlocal branchings
-        branchings = _count_branching(branchings)
-        heapq.heappop(heap)
-        counts, pending = Counter(), []
-        for child, child_heap, turn in ((node[:], heap.copy(), 1), (node, heap, 0)):
-            circles = _splice_face(succ, corner, child, child_heap, walk, turn)
-            settle(child, child_heap, circles, counts, pending)
-        return key, counts, pending
-
-    stack = [(None, Counter(), [])]
-    settle(partner, _small_faces(succ, partner), web.circles, *stack[0][1:])
-    while stack:
-        key, counts, pending = stack[-1]
-        while pending and pending[-1][2] in memo:
-            d, c, child, *_rest = pending.pop()
-            for (dd, cc), n in memo[child].items():
-                counts[dd + d, cc + c] += n
-        if pending:
-            stack.append(frame(*pending[-1][2:]))
-        else:
-            stack.pop()
-            memo[key] = counts
-    return memo[None]
+            branchings = _count_branching(branchings)
+            children = [
+                (child, child_heap, _splice_face(succ, corner, child, child_heap, walk, turn))
+                for child, child_heap, turn in ((node[:], heap.copy(), 1), (node, heap, 0))
+            ]
+            stack.append((key, digons, circles, Counter(), children))
 
 
 @cache
@@ -287,11 +256,9 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
 
 
 def _evaluate(web: Web, rng: Random | None = None) -> LaurentPoly:
-    """The bracket of a closed web already known to be valid: over the
-    memoised elimination DAG, or over the tree in a seeded order."""
-    leaves = _dag_leaves(web) if rng is None else _tree_leaves(web, rng)
+    """The bracket of a closed web already known to be valid."""
     value = LaurentPoly.zero()
-    for (digons, circles), count in leaves.items():
+    for (digons, circles, _leaf), count in _dag_leaves(web, rng).items():
         value = value + _multiplier(digons, circles) * count
     return value
 
@@ -335,16 +302,24 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     splits a summand three ways with shifts -2, 0, +2, a digon two ways
     with shifts -1, +1, and a square into its two smoothings at shift 0.
     For a closed web the summands are empty webs and the multiset of
-    shifts recovers the bracket.
+    shifts recovers the bracket.  Pieces keep the web's labels.
     """
     require_valid(web)
+    labels = sorted(x for e in web.edges for x in e)
+    index = {h: i for i, h in enumerate(labels)}
+    typecode = _typecode(len(labels) + bool(web.boundary))
+    pieces = {b"": make_web()}
     out: list[tuple[Web, int]] = []
-    for m, digons in _eliminate(web):
-        mult = _multiplier(digons, m.circles)
-        m.circles = 0
-        piece = m.to_web()
-        for shift, count in mult.items():
-            out += [(piece, shift)] * count
+    for (digons, circles, leaf), count in _dag_leaves(web).items():
+        if leaf not in pieces:
+            partner = array(typecode, leaf)
+            pieces[leaf] = make_web(
+                web.boundary,
+                [v for v in web.vertices if partner[index[v[2][0]]] >= 0],
+                [(t, labels[partner[index[t]]]) for t, _h in web.edges if partner[index[t]] >= 0],
+            )
+        for shift, n in _multiplier(digons, circles).items():
+            out += [(pieces[leaf], shift)] * (n * count)
     out.sort(key=lambda ws: ws[1])
     return out
 

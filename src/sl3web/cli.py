@@ -267,10 +267,15 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type for whole numbers of at least `low`."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be a whole number of at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("generate", cmd_generate, "non-elliptic webs over a sign string")
     p.add_argument("signs", help="boundary signs, e.g. '+--+'")
-    p.add_argument("--max-vertices", type=int, help="keep only webs with at most N vertices; omit for all")
+    p.add_argument("--max-vertices", type=_at_least(0), help="keep only webs with at most N vertices; omit for all")
     p.add_argument("--out", help="directory for the web files")
 
     p = add("verify", cmd_verify, "run the acceptance suite")
-    p.add_argument("--max-boundary", type=int, default=8)
-    p.add_argument("--jobs", type=_positive, default=1, help="processes, at most one per core")
-    p.add_argument("--corpus-size", type=int, default=200)
+    p.add_argument("--max-boundary", type=_at_least(0), default=8)
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="processes, at most one per core")
+    p.add_argument("--corpus-size", type=_at_least(1), default=200)
 
     p = add("export", cmd_export, "write a web back out as JSON or DOT")
     p.add_argument("file")

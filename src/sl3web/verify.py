@@ -33,6 +33,7 @@ from .generate import (
     canonical_form,
     generate_all_non_elliptic,
     generate_closed,
+    invariant_dimension,
 )
 from .laurent import LaurentPoly, quantum_integer
 from .redgraph import (
@@ -55,6 +56,11 @@ from .web import face_colouring, find_elliptic_face, is_admissible_sequence, reg
 
 CORPUS_SEED = 7041
 CORPUS_SIZE = 200
+# criterion 3's time budget: C3_SECONDS_PER_WEB for each non-elliptic web
+# a worker checks, and at least C3_MIN_BUDGET.  Passing runs at boundary
+# length 12 on 2 cores spent 0.4-1.0 ms per web and worker.
+C3_SECONDS_PER_WEB = 0.002
+C3_MIN_BUDGET = 600.0
 
 
 @dataclass
@@ -171,10 +177,21 @@ def _characterisation_work(signs, webs=None):
     return len(webs), red_count, decomposable
 
 
+def _workers(jobs: int) -> int:
+    # more workers than cores gain nothing, and a fork pool starts them all at once
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _c3_budget(max_boundary: int, jobs: int) -> float:
+    """Seconds allowed for criterion 3, in proportion to the webs it
+    checks per worker."""
+    webs = sum(invariant_dimension(signs) for signs in _sign_strings(max_boundary))
+    return max(C3_MIN_BUDGET, C3_SECONDS_PER_WEB * webs / _workers(jobs))
+
+
 def _c3_characterisation(max_boundary: int, jobs: int, ne_corpus=None):
     strings = list(_sign_strings(max_boundary))
-    # more workers than cores gain nothing, and a fork pool starts them all at once
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = _workers(jobs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_characterisation_work, strings))
@@ -412,7 +429,7 @@ def run_all(
     run(
         3,
         "characterisation at short boundaries",
-        600.0,
+        _c3_budget(max_boundary, jobs),
         _c3_characterisation,
         max_boundary,
         jobs,

@@ -105,3 +105,13 @@ def test_criterion_3_uses_at_most_one_process_per_core(monkeypatch):
     assert "--jobs 3000 capped at 3, one process per core" in detail
     assert sl3web.verify._c3_characterisation(4, 2) == detail.split(";")[0]
     assert sizes == [3, 2]
+
+
+def test_criterion_3_budget_grows_with_the_webs_per_worker(monkeypatch):
+    monkeypatch.setattr(sl3web.verify.os, "cpu_count", lambda: 2)
+    assert sl3web.verify._c3_budget(8, 1) == 600.0
+    assert sl3web.verify._c3_budget(8, 2) == 600.0
+    # a passing run at length 12 on 2 cores once took 460.6 s of a fixed 600
+    assert sl3web.verify._c3_budget(12, 2) > 1.5 * 460.6
+    assert sl3web.verify._c3_budget(12, 1) == 2 * sl3web.verify._c3_budget(12, 2)
+    assert sl3web.verify._c3_budget(12, 3000) == sl3web.verify._c3_budget(12, 2)

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import elimination_oracle
 import sl3web.bracket as bracket_module
 from sl3web.bracket import (
     boundary_weight,
@@ -34,9 +35,19 @@ from sl3web.catalog import (
     tripod,
 )
 from sl3web.errors import BoundaryMismatchError, SizeGuardError, TheoremViolationError
-from sl3web.generate import canonical_form, generate_all_non_elliptic, generate_closed
+from sl3web.generate import (
+    canonical_form,
+    generate_all_non_elliptic,
+    generate_closed,
+    inflate_edge,
+)
 from sl3web.laurent import LaurentPoly, quantum_integer
-from sl3web.redgraph import enumerate_pairings, g_reduction, red_graph_from_faces
+from sl3web.redgraph import (
+    enumerate_pairings,
+    enumerate_red_graphs,
+    g_reduction,
+    red_graph_from_faces,
+)
 from sl3web.web import (
     SINK,
     SOURCE,
@@ -168,6 +179,22 @@ def test_elimination_outputs_are_pinned():
 # -- the memoised elimination DAG against the elimination tree ------------------
 
 
+def _dag_counts(web: Web, rng: Random | None = None) -> Counter:
+    """The DAG's leaf counts by (digons, circles), as the tree keys them."""
+    counts = Counter()
+    for (digons, circles, _leaf), n in bracket_module._dag_leaves(web, rng).items():
+        counts[digons, circles] += n
+    return counts
+
+
+def _tree_value(web: Web, rng: Random | None = None) -> LaurentPoly:
+    leaves = elimination_oracle._tree_leaves(web, rng)
+    return sum(
+        (bracket_module._multiplier(d, c) * n for (d, c), n in leaves.items()),
+        LaurentPoly.zero(),
+    )
+
+
 def _prism(n: int) -> Web:
     """The closed prism web: an outer cycle u_0..u_{n-1}, an inner cycle
     w_0..w_{n-1} and rungs u_i w_i, n even; every face but the two cycles
@@ -196,7 +223,8 @@ def test_dag_matches_tree_on_self_closures_up_to_8():
     ]
     for web in webs:
         closed = closure(web, web)
-        assert bracket_module._dag_leaves(closed) == bracket_module._tree_leaves(closed)
+        assert _dag_counts(closed) == elimination_oracle._tree_leaves(closed)
+        assert set(leaf for _d, _c, leaf in bracket_module._dag_leaves(closed)) == {b""}
 
 
 def test_dag_matches_tree_on_flower_pairings():
@@ -205,7 +233,7 @@ def test_dag_matches_tree_on_flower_pairings():
     pairs = [(flower(), flower())] + [(rng.choice(webs), rng.choice(webs)) for _ in range(50)]
     for w1, w2 in pairs:
         closed = closure(w1, w2)
-        assert bracket_module._dag_leaves(closed) == bracket_module._tree_leaves(closed)
+        assert _dag_counts(closed) == elimination_oracle._tree_leaves(closed)
 
 
 def test_dag_walk_does_not_recurse():
@@ -218,10 +246,10 @@ def test_dag_walk_does_not_recurse():
     sys.setrecursionlimit(low)
     try:
         assert web.vertex_count // 4 > sys.getrecursionlimit()
-        leaves = bracket_module._dag_leaves(web)
+        leaves = _dag_counts(web)
     finally:
         sys.setrecursionlimit(limit)
-    assert leaves == bracket_module._tree_leaves(web)
+    assert leaves == elimination_oracle._tree_leaves(web)
 
 
 def _replay_corpus():
@@ -238,6 +266,16 @@ def _replay_corpus():
     return webs + [closure(w1, w2) for w1, w2 in pairs] + [_prism(8)]
 
 
+def _rescanned_faces(current, partner) -> list:
+    """The digon and square faces of a full DartMap rescan of the map whose
+    partner table is the array state translated back to labels, by
+    (length, smallest label)."""
+    labels, m = current["labels"], current["map"].copy()
+    m.partner = {labels[h]: labels[p] for h, p in enumerate(partner) if p >= 0}
+    orbits = [o for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)]
+    return sorted(orbits, key=lambda o: (len(o), min(o)))
+
+
 def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
     # every pick, translated back to the web's labels, is the face a full
     # DartMap rescan of the same map picks
@@ -245,14 +283,11 @@ def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
     steps = []
     current = {}
 
-    def checked(succ, partner, heap):
+    def checked(succ, partner, heap, rng=None):
+        assert rng is None
         walk = tracked(succ, partner, heap)
-        labels, m = current["labels"], current["map"].copy()
-        m.partner = {labels[h]: labels[p] for h, p in enumerate(partner) if p >= 0}
-        orbits = [
-            o for o in m.faces() if len(o) in (2, 4) and all(d in m.vertex_of for d in o)
-        ]
-        want = min(orbits, key=lambda o: (len(o), min(o)), default=None)
+        labels = current["labels"]
+        want = next(iter(_rescanned_faces(current, partner)), None)
         if want is None:
             assert walk is None
         else:
@@ -268,6 +303,38 @@ def test_dag_face_heap_picks_what_a_full_rescan_picks(monkeypatch):
         current.update(labels=sorted(x for e in web.edges for x in e), map=DartMap(web))
         bracket_module._dag_leaves(web)
     assert sum(steps) > 10_000
+
+
+def test_seeded_draws_offer_every_live_face_once(monkeypatch):
+    # a seeded order draws from every digon and square face of the map,
+    # each once and by (length, smallest half-edge), as a full rescan lists
+    # them; a stale entry at another half-edge of a live face is not
+    # offered again
+    tracked = bracket_module._next_face
+    current, draws = {}, []
+
+    class Offers(Random):
+        def choice(self, seq):
+            draws.append(list(seq))
+            return super().choice(seq)
+
+    def checked(succ, partner, heap, rng=None):
+        before = len(draws)
+        walk = tracked(succ, partner, heap, rng)
+        labels, faces = current["labels"], _rescanned_faces(current, partner)
+        offered = [(2 + 2 * (e >= len(succ)), labels[e % len(succ)]) for e in sum(draws[before:], [])]
+        assert offered == [(len(o), min(o)) for o in faces]
+        if walk is not None:
+            got = [labels[h] for h in walk]
+            assert got[0] == min(got)
+            assert set(got) in [set(o) for o in faces]
+        return walk
+
+    monkeypatch.setattr(bracket_module, "_next_face", checked)
+    for i, web in enumerate(_replay_corpus()):
+        current.update(labels=sorted(x for e in web.edges for x in e), map=DartMap(web))
+        bracket_module._dag_leaves(web, Offers(i))
+    assert len(draws) > 10_000
 
 
 def test_dag_walks_the_faces_once(monkeypatch):
@@ -319,8 +386,7 @@ def test_dag_matches_tree_on_any_half_edge_ids(monkeypatch, typecode):
         for rename in renames:
             renamed = _renamed(web, rename)
             assert bracket_module._dart_arrays(renamed)[2].typecode == typecode
-            leaves = bracket_module._dag_leaves(renamed)
-            assert leaves == bracket_module._tree_leaves(renamed)
+            assert _dag_counts(renamed) == elimination_oracle._tree_leaves(renamed)
             assert bracket_module._evaluate(renamed) == bracket(web)
 
 
@@ -339,22 +405,86 @@ def _torus_k33(digon: bool = False) -> Web:
 
 def test_a_leaf_with_vertices_is_a_theorem_violation():
     for web in (_torus_k33(), _torus_k33(digon=True)):
-        for leaves in (bracket_module._dag_leaves, bracket_module._tree_leaves):
+        for leaves in (bracket_module._dag_leaves, elimination_oracle._tree_leaves):
             with pytest.raises(TheoremViolationError, match="no circle, digon or square"):
                 leaves(web)
 
 
 def test_square_branchings_are_capped(monkeypatch):
     # the prism on 8 rungs branches 3 times in the DAG and, in the seeded
-    # order Random(0), 11 times in the tree
+    # order Random(0), 9 times in the DAG and 11 times in the tree
     web = _prism(8)
     value = bracket(web)
-    for evaluate, count in ((lambda: bracket(web), 3), (lambda: bracket(web, Random(0)), 11)):
+    for evaluate, count in (
+        (lambda: bracket(web), 3),
+        (lambda: bracket(web, Random(0)), 9),
+        (lambda: _tree_value(web, Random(0)), 11),
+    ):
         monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", count)
         assert evaluate() == value
         monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", count - 1)
         with pytest.raises(SizeGuardError):
             evaluate()
+
+
+def test_seeded_orders_match_the_tree():
+    # with the same seed the DAG is offered the faces the tree is, in the
+    # same order, so it draws the same faces; these small webs never meet
+    # a map twice, so it also counts the same leaves
+    corpus = generate_closed(200, seed=7041)
+    for seed in range(20):
+        for i, web in enumerate(corpus):
+            leaves = _dag_counts(web, Random(1000 * seed + i))
+            assert leaves == elimination_oracle._tree_leaves(web, Random(1000 * seed + i))
+            assert bracket(web, Random(1000 * seed + i)) == _tree_value(web)
+
+
+def _flower_reductions():
+    """The flower reduced along each of its red graphs that has pairings,
+    under each pairing: open webs with digons and squares at the border."""
+    web = flower()
+    for red in enumerate_red_graphs(web):
+        try:
+            pairings = enumerate_pairings(red)
+        except ValueError:
+            continue
+        for pairing in pairings:
+            yield g_reduction(web, red, pairing)
+
+
+def test_split_elliptic_matches_the_tree():
+    # the same labelled pieces with the same shifts: every non-elliptic
+    # web up to length 7 behind up to three digons, and the flower's
+    # reductions
+    rng = Random(5)
+    webs = []
+    for n in range(8):
+        for signs in itertools.product("+-", repeat=n):
+            if is_admissible_sequence(signs):
+                for web in generate_all_non_elliptic(signs):
+                    webs.append(web)
+                    for _ in range(3 if web.edges else 0):
+                        web = inflate_edge(web, rng.randrange(len(web.edges)))
+                        webs.append(web)
+    webs += _flower_reductions()
+    assert len(webs) > 2_500
+    pieces = 0
+    for web in webs:
+        split = Counter(split_elliptic(web))
+        assert split == Counter(elimination_oracle.split_elliptic(web))
+        pieces += sum(split.values())
+    assert pieces > 9_000
+
+
+def test_split_elliptic_is_capped(monkeypatch):
+    # the flower reduced along faces 12 and 13 branches 6 times
+    web = g_reduction(flower(), red_graph_from_faces(flower(), (12, 13)))
+    want = elimination_oracle.split_elliptic(web)
+    monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", 6)
+    assert split_elliptic(web) == want
+    monkeypatch.setattr(bracket_module, "MAX_SQUARE_BRANCHINGS", 5)
+    with pytest.raises(SizeGuardError):
+        split_elliptic(web)
 
 
 # -- hom pairings ---------------------------------------------------------------

@@ -217,3 +217,19 @@ def test_verify_rejects_jobs_below_one(jobs, capsys):
         main(["verify", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs: must be a whole number of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--corpus-size", "0"], "--corpus-size: must be a whole number of at least 1"),
+        (["verify", "--corpus-size", "-5"], "--corpus-size: must be a whole number of at least 1"),
+        (["verify", "--max-boundary", "-1"], "--max-boundary: must be a whole number of at least 0"),
+        (["generate", "+-+-", "--max-vertices", "-1"], "--max-vertices: must be a whole number of at least 0"),
+    ],
+)
+def test_numeric_arguments_out_of_range_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

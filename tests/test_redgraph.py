@@ -520,9 +520,10 @@ def test_decompose_reuses_the_classified_bracket(monkeypatch):
     bracketed = []
     dag_leaves = sl3web.bracket._dag_leaves
 
-    def counted(web):
-        bracketed.append(web)
-        return dag_leaves(web)
+    def counted(web, rng=None):
+        if not web.boundary:  # split_elliptic walks the DAG too; keep brackets
+            bracketed.append(web)
+        return dag_leaves(web, rng)
 
     monkeypatch.setattr(sl3web.bracket, "_dag_leaves", counted)
     web = shifted_flower()
