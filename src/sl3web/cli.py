@@ -12,30 +12,8 @@ import argparse
 import json
 import os
 import sys
-from random import Random
 
-from .bracket import bracket, classify
 from .errors import InvalidWebError, SizeGuardError, TheoremViolationError
-from .generate import generate_all_non_elliptic, generate_non_elliptic, invariant_dimension
-from .io import dual_dot, dumps_web, load_web, web_dot, web_to_json
-from .redgraph import (
-    count_fitting_orientations,
-    decompose,
-    dual_graph,
-    enumerate_pairings,
-    enumerate_red_graphs,
-    g_reduction,
-    is_admissible,
-    projection_degree_shift,
-    red_graph_from_faces,
-)
-from .verify import run_all
-from .web import (
-    is_admissible_sequence,
-    is_boundary_connected,
-    is_non_elliptic,
-    validate,
-)
 
 
 def _emit(report: dict, fmt: str):
@@ -66,6 +44,9 @@ def _web_summary(web) -> dict:
 
 
 def cmd_validate(args) -> int:
+    from .io import load_web
+    from .web import is_boundary_connected, is_non_elliptic, validate
+
     web = load_web(args.file)
     problems = validate(web)
     report = {"valid": "yes" if not problems else "no", **_web_summary(web)}
@@ -80,6 +61,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    from random import Random
+
+    from .bracket import bracket
+    from .io import load_web
+
     web = load_web(args.file)
     rng = Random(args.seed) if args.seed is not None else None
     value = bracket(web, rng=rng)
@@ -88,6 +74,9 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .bracket import classify
+    from .io import load_web
+
     web = load_web(args.file)
     vc = classify(web)
     report = {
@@ -102,6 +91,8 @@ def cmd_classify(args) -> int:
 
 
 def _red_record(red, admissible: bool) -> dict:
+    from .redgraph import count_fitting_orientations, enumerate_pairings, projection_degree_shift
+
     record = {
         "faces": ",".join(str(f) for f in red.faces),
         "edges": len(red.edges),
@@ -117,6 +108,9 @@ def _red_record(red, admissible: bool) -> dict:
 
 
 def cmd_redgraphs(args) -> int:
+    from .io import load_web
+    from .redgraph import dual_graph, enumerate_red_graphs, is_admissible
+
     web = load_web(args.file)
     dual = dual_graph(web)
     records = []
@@ -145,6 +139,9 @@ def _parse_faces(text: str) -> list[int]:
 
 
 def cmd_reduce(args) -> int:
+    from .io import dumps_web, load_web, web_to_json
+    from .redgraph import enumerate_pairings, g_reduction, projection_degree_shift, red_graph_from_faces
+
     web = load_web(args.file)
     red = red_graph_from_faces(web, _parse_faces(args.faces))
     pairings = enumerate_pairings(red)
@@ -166,6 +163,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .io import dumps_web, load_web
+    from .redgraph import decompose
+
     web = load_web(args.file)
     dec = decompose(web)
     records = []
@@ -187,6 +187,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generate import generate_all_non_elliptic, generate_non_elliptic, invariant_dimension
+    from .io import dumps_web
+    from .web import is_admissible_sequence
+
     signs = tuple(args.signs)
     if any(s not in "+-" for s in signs):
         raise InvalidWebError(f"signs must be a string over +-, got {args.signs!r}")
@@ -221,6 +225,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(
         max_boundary=args.max_boundary,
         jobs=args.jobs,
@@ -252,10 +258,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .io import dual_dot, dumps_web, load_web, web_dot
+
+    if args.kind == "web" and args.faces is not None:
+        raise InvalidWebError("--faces overlays a red graph on the dual; it needs --kind dual")
     web = load_web(args.file)
     if args.kind == "web":
         text = web_dot(web) if args.dot else dumps_web(web)
     else:
+        from .redgraph import red_graph_from_faces
+
         red = red_graph_from_faces(web, _parse_faces(args.faces)) if args.faces else None
         text = dual_dot(web, red)
     if args.dot:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -191,24 +192,84 @@ def test_non_utf8_file_exit_code(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
-def test_cli_import_leaves_networkx_out():
+@pytest.mark.parametrize("kind", [[], ["--kind", "web"]])
+def test_export_web_rejects_faces(webs, capsys, kind):
+    assert main(["export", webs["flower"], *kind, "--faces", "1"]) == 2
+    assert "--faces" in capsys.readouterr().err
+
+
+def imported_modules(*argv) -> tuple[int, set[str]]:
+    """Run `python -X importtime *argv` in a fresh interpreter; return its
+    exit code and the names of every module it imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sl3web.cli; print('networkx' in sys.modules)"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, set(re.findall(r"^import time:.*\|\s*(\S+)\s*$", proc.stderr, re.M))
+
+
+def test_cli_imports_only_what_the_verb_runs(webs):
+    code, names = imported_modules("-c", "import sl3web.cli")
+    assert code == 0
+    assert "sl3web.cli" in names
+    assert not names & {
+        "sl3web.bracket",
+        "sl3web.redgraph",
+        "sl3web.generate",
+        "sl3web.verify",
+        "sl3web.catalog",
+        "concurrent.futures",
+        "multiprocessing",
+        "networkx",
+    }
+
+    code, names = imported_modules("-m", "sl3web.cli", "validate", webs["flower"])
+    assert code == 0
+    assert "sl3web.io" in names
+    assert not names & {"sl3web.bracket", "sl3web.redgraph"}
+
+    code, names = imported_modules("-m", "sl3web.cli", "classify", webs["flower"])
+    assert code == 0
+    assert "sl3web.bracket" in names
+    assert "sl3web.redgraph" not in names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{flower}"],
+        ["bracket", "{circle}", "--seed", "3"],
+        ["classify", "{flower}"],
+        ["redgraphs", "{digon_arc}"],
+        ["reduce", "{digon_arc}", "--faces", "1"],
+        ["decompose", "{digon_arc}"],
+        ["generate", "+-+-"],
+        ["verify", "--max-boundary", "4", "--corpus-size", "5"],
+        ["export", "{digon_arc}", "--kind", "dual", "--faces", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_verb_runs_in_a_fresh_interpreter(argv, webs):
+    argv = [a.format(**webs) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl3web.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
-def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sl3web.cli", "generate", "+-"],
-        capture_output=True,
-        text=True,
+def test_console_script_runs(webs):
+    # the [project.scripts] entry point imports sl3web.cli as a module and calls main()
+    script = (
+        "import importlib, sys\n"
+        "sys.argv[0] = 'sl3web'\n"
+        "sys.exit(importlib.import_module('sl3web.cli').main())\n"
     )
-    assert proc.returncode == 0
-    assert "count: 1" in proc.stdout
+    for argv, expected in [
+        (["generate", "+-"], "count: 1"),
+        (["validate", webs["flower"]], "valid: yes"),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert expected in proc.stdout
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
