@@ -1,62 +1,3 @@
 """Webs for the sl3 spider: bracket evaluation, red graphs, reductions."""
 
-from .errors import (
-    BoundaryMismatchError,
-    InvalidWebError,
-    PairingError,
-    SizeGuardError,
-    StageMismatchError,
-    TheoremViolationError,
-)
-from .laurent import LaurentPoly, quantum_integer
-from .web import (
-    MINUS,
-    PLUS,
-    SINK,
-    SOURCE,
-    FaceColouring,
-    Region,
-    Web,
-    closure,
-    face_colouring,
-    find_elliptic_face,
-    is_admissible_sequence,
-    is_boundary_connected,
-    is_non_elliptic,
-    make_web,
-    mirror,
-    region_table,
-    regions,
-    validate,
-)
-
-__all__ = [
-    "BoundaryMismatchError",
-    "InvalidWebError",
-    "PairingError",
-    "SizeGuardError",
-    "StageMismatchError",
-    "TheoremViolationError",
-    "LaurentPoly",
-    "quantum_integer",
-    "MINUS",
-    "PLUS",
-    "SINK",
-    "SOURCE",
-    "FaceColouring",
-    "Region",
-    "Web",
-    "closure",
-    "face_colouring",
-    "find_elliptic_face",
-    "is_admissible_sequence",
-    "is_boundary_connected",
-    "is_non_elliptic",
-    "make_web",
-    "mirror",
-    "region_table",
-    "regions",
-    "validate",
-]
-
 __version__ = "0.1.0"

@@ -77,10 +77,11 @@ def _typecode(half_edges: int) -> str:
 def _dart_arrays(web: Web):
     """A web over its half-edges numbered 0..H-1 in label order: rotation
     successors, each half-edge's vertex rotation (none at the border),
-    and the partner array, where -1 marks a deleted half-edge.  A web
-    with boundary gets one more half-edge, H: its own partner, and the
-    successor of itself and of every boundary half-edge, so a face walk
-    that reaches the border stays at H and never closes."""
+    the partner array, where -1 marks a deleted half-edge, and the
+    number of each label, keyed in label order.  A web with boundary gets
+    one more half-edge, H: its own partner, and the successor of itself
+    and of every boundary half-edge, so a face walk that reaches the
+    border stays at H and never closes."""
     index = {h: i for i, h in enumerate(sorted(x for e in web.edges for x in e))}
     n = len(index) + bool(web.boundary)
     succ, corner = [n - 1] * n, [()] * n
@@ -93,7 +94,7 @@ def _dart_arrays(web: Web):
         partner[index[t]], partner[index[h]] = index[h], index[t]
     if web.boundary:
         partner[-1] = n - 1
-    return succ, corner, partner
+    return succ, corner, partner, index
 
 
 def _small_faces(succ, partner) -> list[int]:
@@ -181,12 +182,14 @@ def _splice_face(succ, corner, partner, heap: list, walk, turn: int) -> int:
     return circles
 
 
-def _dag_leaves(web: Web, rng: Random | None = None) -> Counter:
+def _dag_leaves(web: Web, rng: Random | None = None, arrays=None) -> Counter:
     """Leaf counts by (digons, circles, leaf) of the elimination of a
     web's digon and square faces, in the default order or one drawn
     from rng, with every map met at a square evaluated once.  A leaf is
     its partner array's bytes, or b"" when no half-edge is left; a
-    closed web must leave none.
+    closed web must leave none.  `arrays` are the web's _dart_arrays,
+    when the caller has them already; the walk splices their partner
+    array in place.
 
     A node owns only its partner array (see _dart_arrays) and its heap
     of digon and square faces, kept up to date by _splice_face after
@@ -196,7 +199,7 @@ def _dag_leaves(web: Web, rng: Random | None = None) -> Counter:
     the node, counts, spliced children yet to settle), depth first as
     the tree walks; the root's frame has key None.
     """
-    succ, corner, partner = _dart_arrays(web)
+    succ, corner, partner, _index = arrays or _dart_arrays(web)
     memo: dict[bytes, Counter] = {}
     branchings = 0
 
@@ -305,12 +308,12 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     shifts recovers the bracket.  Pieces keep the web's labels.
     """
     require_valid(web)
-    labels = sorted(x for e in web.edges for x in e)
-    index = {h: i for i, h in enumerate(labels)}
-    typecode = _typecode(len(labels) + bool(web.boundary))
+    arrays = _dart_arrays(web)
+    typecode, index = arrays[2].typecode, arrays[3]
+    labels = list(index)
     pieces = {b"": make_web()}
     out: list[tuple[Web, int]] = []
-    for (digons, circles, leaf), count in _dag_leaves(web).items():
+    for (digons, circles, leaf), count in _dag_leaves(web, arrays=arrays).items():
         if leaf not in pieces:
             partner = array(typecode, leaf)
             pieces[leaf] = make_web(

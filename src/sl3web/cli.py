@@ -268,7 +268,7 @@ def cmd_export(args) -> int:
     else:
         from .redgraph import red_graph_from_faces
 
-        red = red_graph_from_faces(web, _parse_faces(args.faces)) if args.faces else None
+        red = None if args.faces is None else red_graph_from_faces(web, _parse_faces(args.faces))
         text = dual_dot(web, red)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

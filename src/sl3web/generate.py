@@ -30,7 +30,7 @@ from __future__ import annotations
 from random import Random
 
 from .errors import TheoremViolationError
-from .web import MINUS, PLUS, SINK, SOURCE, Web, is_admissible_sequence, make_web
+from .web import MINUS, PLUS, SINK, SOURCE, Web, closure, is_admissible_sequence, make_web
 
 # (state, weight change) of a step, per sign
 _STEPS = {
@@ -281,15 +281,17 @@ def inflate_edge(web: Web, edge_index: int) -> Web:
     return make_web(web.boundary, vertices, edges, web.circles)
 
 
-def generate_closed(count: int, seed: int, max_vertices: int = 20) -> list[Web]:
+# vertices a random closed web may reach by inflating digons
+CLOSED_MAX_VERTICES = 20
+
+
+def generate_closed(count: int, seed: int) -> list[Web]:
     """Deterministic pseudo-random closed webs for stress testing.
 
     Each web is the closure of two generated non-elliptic webs over a
     random small sign string, optionally inflated with digons and padded
     with circles, so circles, digons and squares all occur.
     """
-    from .web import closure
-
     rng = Random(seed)
     pool: dict[tuple, list[Web]] = {}
     out: list[Web] = []
@@ -305,7 +307,7 @@ def generate_closed(count: int, seed: int, max_vertices: int = 20) -> list[Web]:
             continue
         closed = closure(rng.choice(webs), rng.choice(webs))
         for _ in range(rng.randrange(3)):
-            if closed.edges and closed.vertex_count + 2 <= max_vertices:
+            if closed.edges and closed.vertex_count + 2 <= CLOSED_MAX_VERTICES:
                 closed = inflate_edge(closed, rng.randrange(len(closed.edges)))
         if rng.random() < 0.3:
             closed = Web(closed.boundary, closed.vertices, closed.edges, closed.circles + 1)

@@ -63,18 +63,16 @@ class DualGraph:
             inc[b].append((i, a))
         return tuple(map(tuple, inc))
 
-    @cached_property
+    @property
     def darts(self) -> DartMap:
-        """The web's dart map, shared by every red graph of this dual
-        graph; read it, never splice it."""
-        return DartMap(self.web)
+        """The web's validated dart map, shared by every red graph of this
+        dual graph; read it, never splice it."""
+        return self.table.darts
 
 
 def dual_graph(web: Web) -> DualGraph:
     table = region_table(web)
-    sides = tuple(
-        (table.region_of[t], table.region_of[h]) for t, h in web.edges
-    )
+    sides = table.sides
     corners = {
         vid: tuple(table.region_of[h] for h in rot) for vid, _k, rot in web.vertices
     }
@@ -504,7 +502,7 @@ def g_reduction(web: Web, red: RedGraph, pairing=None) -> Web:
     return m.to_web()
 
 
-def projection_degree_shift(red: RedGraph, pairing=None) -> int:
+def projection_degree_shift(red: RedGraph) -> int:
     """Degree shift of the projection-inclusion composite through the
     reduced web: twice the index, independent of the pairing."""
     return 2 * red.level
@@ -630,28 +628,6 @@ def red_graph_from_faces(web: Web, faces) -> RedGraph:
     if not corner_selection_ok(dual, faces):
         raise StageMismatchError("selection pinches a vertex (three corners chosen)")
     return RedGraph(dual, faces)
-
-
-def reduce_by_stack(web: Web, stages) -> tuple[Web, int]:
-    """Apply reductions stage by stage; each stage is (faces, pairing_index).
-
-    Face ids refer to the regions of the web as it stands at that stage,
-    so a stale stack raises StageMismatchError rather than quietly
-    reducing the wrong faces.  Returns the final web and the accumulated
-    projection degree shift.
-    """
-    shift = 0
-    current = web
-    for faces, pairing_index in stages:
-        red = red_graph_from_faces(current, faces)
-        pairings = enumerate_pairings(red)
-        if not 0 <= pairing_index < len(pairings):
-            raise StageMismatchError(
-                f"pairing index {pairing_index} out of range ({len(pairings)} available)"
-            )
-        shift += projection_degree_shift(red)
-        current = g_reduction(current, red, pairings[pairing_index])
-    return current, shift
 
 
 @dataclass(frozen=True)

@@ -419,24 +419,21 @@ class Region:
 
 
 class RegionTable:
-    """Regions of a web plus the dart -> region lookup."""
+    """Regions of a web, the dart -> region lookup, the validated dart map
+    they were read from, and the regions on the two sides of each edge."""
 
-    def __init__(self, regions: list[Region], region_of: dict[int, int]):
+    def __init__(self, regions: list[Region], region_of: dict[int, int], darts: DartMap, web: Web):
         self.regions = regions
         self.region_of = region_of  # web half-edge (as walk dart) -> region id
+        self.darts = darts  # shared by every reader of the table; copy it before a splice
+        # per web edge: (right region, left region), the tail dart lying on the right
+        self.sides = tuple((region_of[t], region_of[h]) for t, h in web.edges)
 
     def __iter__(self):
         return iter(self.regions)
 
     def __len__(self):
         return len(self.regions)
-
-    @property
-    def unbounded(self) -> Region:
-        return self.regions[0]
-
-    def faces(self) -> list[Region]:
-        return [r for r in self.regions if not r.touches_border and not r.is_unbounded]
 
 
 def region_table(web: Web) -> RegionTable:
@@ -446,7 +443,8 @@ def region_table(web: Web) -> RegionTable:
     is drawn side by side, so the outer face of every component is merged
     into region 0; the outer face of a component is taken to be the orbit
     containing its smallest dart, a deterministic choice that no computed
-    invariant depends on.
+    invariant depends on.  The table keeps the dart map that validation
+    built, so readers of its regions need not build another.
     """
     problems, m, orbits, comp = _validated(web)
     if problems:
@@ -507,7 +505,7 @@ def region_table(web: Web) -> RegionTable:
                 is_circle_interior=True,
             )
         )
-    return RegionTable(regions, region_of)
+    return RegionTable(regions, region_of, m, web)
 
 
 def regions(web: Web) -> list[Region]:
@@ -575,14 +573,9 @@ def face_colouring(web: Web, base: int = 0) -> FaceColouring:
     is divisible by 3; this is re-checked on every edge.
     """
     table = region_table(web)
-    # region to the right of the oriented edge is the tail dart's region
-    relations = []  # (right region, left region) per edge
-    for t, h in web.edges:
-        relations.append((table.region_of[t], table.region_of[h]))
-
     colours: dict[int, int] = {0: base % 3}
     adj: dict[int, list[tuple[int, int]]] = {}
-    for r1, r2 in relations:
+    for r1, r2 in table.sides:
         adj.setdefault(r1, []).append((r2, 1))
         adj.setdefault(r2, []).append((r1, -1))
     queue = [0]
@@ -598,7 +591,7 @@ def face_colouring(web: Web, base: int = 0) -> FaceColouring:
             colours[r.id] = (colours[0] + 1) % 3
         elif r.id not in colours:
             colours[r.id] = colours[0]  # isolated region, only the empty web
-    for r1, r2 in relations:
+    for r1, r2 in table.sides:
         if (colours[r1] + 1) % 3 != colours[r2]:
             raise TheoremViolationError(
                 f"face colouring inconsistent across an edge between regions {r1} and {r2}"

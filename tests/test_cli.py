@@ -198,6 +198,12 @@ def test_export_web_rejects_faces(webs, capsys, kind):
     assert "--faces" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("faces", ["", ","])
+def test_export_dual_rejects_an_empty_face_list(webs, capsys, faces):
+    assert main(["export", webs["digon_arc"], "--kind", "dual", "--faces", faces]) == 3
+    assert "a red graph needs at least one face" in capsys.readouterr().err
+
+
 def imported_modules(*argv) -> tuple[int, set[str]]:
     """Run `python -X importtime *argv` in a fresh interpreter; return its
     exit code and the names of every module it imported."""
@@ -208,10 +214,18 @@ def imported_modules(*argv) -> tuple[int, set[str]]:
 
 
 def test_cli_imports_only_what_the_verb_runs(webs):
+    # the package root re-exports nothing, so it loads no web code
+    code, names = imported_modules("-c", "import sl3web")
+    assert code == 0
+    assert "sl3web" in names
+    assert not names & {"sl3web.web", "sl3web.laurent"}
+
     code, names = imported_modules("-c", "import sl3web.cli")
     assert code == 0
     assert "sl3web.cli" in names
     assert not names & {
+        "sl3web.web",
+        "sl3web.laurent",
         "sl3web.bracket",
         "sl3web.redgraph",
         "sl3web.generate",

@@ -41,10 +41,9 @@ from sl3web.redgraph import (
     orientation_index_sum,
     projection_degree_shift,
     red_graph_from_faces,
-    reduce_by_stack,
 )
 from sl3web.verify import _girth
-from sl3web.web import Web, closure, is_admissible_sequence, make_web, validate
+from sl3web.web import DartMap, Web, closure, is_admissible_sequence, make_web, validate
 
 
 def flower_dual():
@@ -236,6 +235,24 @@ def test_g_reduction_leaves_the_shared_dart_map_alone():
     g_reduction(web, petals)
     assert petals.dual.darts.partner == partners
     assert [grey_halves(petals, f) for f in petals.faces] == greys
+
+
+def test_a_flower_search_and_its_reductions_build_one_dart_map(monkeypatch):
+    # the region table keeps the map its validation built, and the dual
+    # graph reads it instead of building a second one
+    built = []
+    init = DartMap.__init__
+
+    def counted(self, web):
+        built.append(web)
+        init(self, web)
+
+    monkeypatch.setattr(DartMap, "__init__", counted)
+    web = flower()
+    red = find_exact_red_graph(web)
+    for pairing in enumerate_pairings(red):
+        g_reduction(web, red, pairing)
+    assert built == [web]
 
 
 def test_orientation_index_sum_is_orientation_independent():
@@ -475,14 +492,6 @@ def test_red_graph_from_faces_checks_input():
         red_graph_from_faces(web, faces)  # pinched vertices
 
 
-def test_reduce_by_stack():
-    web = digon_arc()
-    red = next(iter(enumerate_red_graphs(web)))
-    reduced, shift = reduce_by_stack(web, [(red.faces, 0)])
-    assert shift == 2
-    assert canonical_form(reduced) == canonical_form(arc())
-
-
 def test_decompose_digon_arc():
     dec = decompose(digon_arc())
     assert dec.complete
@@ -520,10 +529,10 @@ def test_decompose_reuses_the_classified_bracket(monkeypatch):
     bracketed = []
     dag_leaves = sl3web.bracket._dag_leaves
 
-    def counted(web, rng=None):
+    def counted(web, rng=None, arrays=None):
         if not web.boundary:  # split_elliptic walks the DAG too; keep brackets
             bracketed.append(web)
-        return dag_leaves(web, rng)
+        return dag_leaves(web, rng, arrays)
 
     monkeypatch.setattr(sl3web.bracket, "_dag_leaves", counted)
     web = shifted_flower()
