@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import itertools
@@ -252,7 +253,9 @@ def test_dag_walk_does_not_recurse():
     assert leaves == elimination_oracle._tree_leaves(web)
 
 
-def _replay_corpus():
+@functools.cache
+def _replay_corpus() -> tuple:
+    # built once for the three tests that replay it; webs are frozen
     webs = [
         closure(web, web)
         for n in range(9)
@@ -263,7 +266,7 @@ def _replay_corpus():
     flowers = generate_all_non_elliptic(FLOWER_SIGNS)
     rng = Random(11)
     pairs = [(flower(), flower())] + [(rng.choice(flowers), rng.choice(flowers)) for _ in range(50)]
-    return webs + [closure(w1, w2) for w1, w2 in pairs] + [_prism(8)]
+    return (*webs, *(closure(w1, w2) for w1, w2 in pairs), _prism(8))
 
 
 def _rescanned_faces(current, partner) -> list:
@@ -359,6 +362,75 @@ def test_dag_walks_the_faces_once(monkeypatch):
     assert sum(leaves.values()) > 1  # squares were split
     assert calls["_small_faces"] == 1
     assert calls["_face"] < 8 * calls["_splice_face"]
+
+
+def test_dag_work_is_pinned(monkeypatch):
+    # the flower's self-pairing: looking each branch up before its digon
+    # collapse saves splices (1,755 without it) but no square branching
+    calls = Counter()
+    for name in ("_splice_face", "_count_branching"):
+        original = getattr(bracket_module, name)
+
+        def wrapper(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(bracket_module, name, wrapper)
+    bracket_module._dag_leaves(closure(flower(), flower()))
+    assert calls == {"_count_branching": 377, "_splice_face": 1434}
+
+
+def test_simple_face_splice_matches_the_strand_walk(monkeypatch):
+    # every splice of the default elimination against the strand walk on
+    # a copy: the same partner array, circles and faces pushed.  The corpus
+    # also sends faces through the strand walk, one of them closing a
+    # circle (the theta, the self-pairing of the tripod).
+    splice, strands = bracket_module._splice_face, bracket_module._splice_strands
+    strand_circles, steps = [], []
+
+    def counted(*args):
+        strand_circles.append(strands(*args))
+        return strand_circles[-1]
+
+    def checked(succ, corner, partner, heap, walk, turn):
+        slow, slow_heap = partner[:], []
+        slow_circles = strands(succ, corner, slow, slow_heap, walk, turn)
+        had = Counter(heap)
+        circles = splice(succ, corner, partner, heap, walk, turn)
+        assert (partner, circles) == (slow, slow_circles)
+        assert Counter(heap) - had == Counter(slow_heap)
+        steps.append(walk)
+        return circles
+
+    monkeypatch.setattr(bracket_module, "_splice_strands", counted)
+    monkeypatch.setattr(bracket_module, "_splice_face", checked)
+    for web in _replay_corpus():
+        bracket_module._dag_leaves(web)
+    assert 0 < len(strand_circles) < len(steps) // 2
+    assert any(strand_circles)
+
+
+def test_dag_matches_tree_on_the_largest_flower_webs(monkeypatch):
+    # the self-pairings of the ten largest webs on the flower boundary.
+    # Some map is reached by two square splices but has its digons
+    # collapsed once: the second branch looked the collapse up.
+    webs = sorted(generate_all_non_elliptic(FLOWER_SIGNS), key=lambda w: w.vertex_count)[-10:]
+    splice = bracket_module._splice_face
+    reached, collapsed = Counter(), Counter()
+
+    def recorded(succ, corner, partner, heap, walk, turn):
+        if len(walk) == 2:
+            collapsed[partner.tobytes()] += 1
+        circles = splice(succ, corner, partner, heap, walk, turn)
+        if len(walk) == 4:
+            reached[partner.tobytes()] += 1
+        return circles
+
+    monkeypatch.setattr(bracket_module, "_splice_face", recorded)
+    for web in webs:
+        closed = closure(web, web)
+        assert _dag_counts(closed) == elimination_oracle._tree_leaves(closed)
+    assert any(n > 1 and collapsed[key] == 1 for key, n in reached.items())
 
 
 def _renamed(web: Web, rename) -> Web:
