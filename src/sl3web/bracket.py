@@ -14,15 +14,14 @@ the same map.  One routine, _dag_leaves, therefore walks every
 elimination as a DAG over flat integer arrays: half-edges are numbered
 in label order, so the least (length, smallest half-edge) picks the
 faces the labels would, and each map met at a square is evaluated once,
-memoised by its partner array's bytes; the default order also looks
-each branch up before it collapses its digons.  After one face walk at
-the root, a heap of digon and square faces is updated only next to each
-splice.  A seeded order draws from the live faces on that heap instead
-of taking the least.  A simple face (distinct corners, no edge from
-spoke to spoke) splices without the strand walk, which may close
-circles.  The walk refuses to expand more than MAX_SQUARE_BRANCHINGS
-squares.  classify keeps each web's result while the web lives, so
-decompose does not bracket the same web twice.
+memoised by its partner array's bytes.  After one face walk at the root,
+a heap of digon and square faces is updated only next to each splice.
+A seeded order draws from the live faces on that heap instead of taking
+the least.  A simple face (distinct corners, no edge from spoke to
+spoke) splices without the strand walk, which may close circles.  The
+walk refuses to expand more than MAX_SQUARE_BRANCHINGS squares.
+classify keeps each web's result while the web lives, so decompose
+does not bracket the same web twice.
 
 Closed webs live on the sphere for evaluation purposes, so any two-sided
 or four-sided face orbit may be eliminated, including the one a plane
@@ -170,28 +169,31 @@ def _splice_face(succ, corner, partner, heap: list, walk, turn: int) -> int:
     spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
     far = [partner[s] for s in spokes]
     if len({*walk, *spokes, *far}) < 3 * len(walk):
-        return _splice_strands(succ, corner, partner, heap, walk, turn)
-    for d in walk:
-        # the corners' half-edges: each walk half-edge, its partner, its spoke
-        partner[partner[d]] = partner[d] = partner[succ[d]] = -1
-    partner[far[0]], partner[far[1]] = far[1], far[0]
-    if len(far) == 4:
-        partner[far[2]], partner[far[3]] = far[3], far[2]
+        circles = _splice_strands(corner, partner, walk, spokes, far)
+    else:
+        circles = 0
+        for d in walk:
+            # the corners' half-edges: each walk half-edge, its partner, its spoke
+            partner[partner[d]] = partner[d] = partner[succ[d]] = -1
+        partner[far[0]], partner[far[1]] = far[1], far[0]
+        if len(far) == 4:
+            partner[far[2]], partner[far[3]] = far[3], far[2]
     for p in far:
-        # push the face through p, by _face's rule without its list
+        # push the live face through p, by _face's rule without its list
+        if partner[p] < 0:
+            continue
         x = succ[partner[p]]
         if (y := succ[partner[x]]) == p:
             if x != p:
                 heapq.heappush(heap, min(p, x))
         elif (z := succ[partner[y]]) != p and succ[partner[z]] == p:
             heapq.heappush(heap, min(p, x, y, z) + len(succ))
-    return 0
+    return circles
 
 
-def _splice_strands(succ, corner, partner, heap: list, walk, turn: int) -> int:
-    """_splice_face for any face, by walking strands that may close circles."""
-    spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
-    far = [partner[s] for s in spokes]
+def _splice_strands(corner, partner, walk, spokes, far) -> int:
+    """The partner rewiring of _splice_face for any face, by walking
+    strands that may close circles; returns the circles closed."""
     cut = {h for d in walk for h in corner[d]}
     link = {s: spokes[i ^ 1] for i, s in enumerate(spokes)}
     circles = 0
@@ -211,9 +213,6 @@ def _splice_strands(succ, corner, partner, heap: list, walk, turn: int) -> int:
             partner[p], partner[q] = q, p
     for h in cut:
         partner[h] = -1
-    for p in far:
-        if (w := _face(succ, partner, p)) is not None:
-            heapq.heappush(heap, min(w) + (len(w) == 4) * len(succ))
     return circles
 
 
@@ -229,18 +228,13 @@ def _dag_leaves(web: Web, rng: Random | None = None, arrays=None) -> Counter:
     A node owns only its partner array (see _dart_arrays) and its heap
     of digon and square faces, kept up to date by _splice_face after
     the one face walk at the root.  Counts are relative to their node,
-    so the memo key, the partner array's bytes, leaves circles out.  An
-    unseeded walk keys each child once more, before its digon collapse,
-    and a repeat adds the collapse's digons and circles without splicing;
-    a seeded walk draws at every collapse step, so it never skips one.
-    The walk keeps an explicit stack of frames (key, digons, circles above
+    so the memo key, the partner array's bytes, leaves circles out.  The
+    walk keeps an explicit stack of frames (key, digons, circles above
     the node, counts, spliced children yet to settle), depth first as
     the tree walks; the root's frame has key None.
     """
     succ, corner, partner, _index = arrays or _dart_arrays(web)
     memo: dict[bytes, Counter] = {}
-    # unseeded: map before a digon collapse -> (digons, circles, key, leaf?)
-    collapsed: dict[bytes, tuple] = {}
     branchings = 0
 
     def add(counts, leaves, digons, circles):
@@ -257,28 +251,18 @@ def _dag_leaves(web: Web, rng: Random | None = None, arrays=None) -> Counter:
             memo[key] = counts
             add(stack[-1][3], counts, digons, circles)
             continue
-        # collapse digons, or look the collapse up; then count a leaf or
-        # open the square's frame
+        # collapse digons; then count a leaf or open the square's frame
         node, heap, circles = pending.pop()
-        before = node.tobytes() if rng is None else None
-        if before in collapsed:
-            digons, closed, key, leaf = collapsed[before]
-        else:
-            digons = closed = 0
-            while (walk := _next_face(succ, node, heap, rng)) is not None and len(walk) == 2:
-                closed += _splice_face(succ, corner, node, heap, walk, 0)
-                digons += 1
-            key = before if before is not None and not digons else node.tobytes()
-            if leaf := walk is None:
-                key = key if node.count(-1) < len(node) else b""
-                if key and not web.boundary:
-                    raise TheoremViolationError("closed web with vertices but no circle, digon or square face")
-            if before is not None:
-                collapsed[before] = digons, closed, key, leaf
-        circles += closed
-        if leaf:
-            counts[digons, circles, key] += 1
-        elif key in memo:
+        digons = 0
+        while (walk := _next_face(succ, node, heap, rng)) is not None and len(walk) == 2:
+            circles += _splice_face(succ, corner, node, heap, walk, 0)
+            digons += 1
+        if walk is None:
+            leaf = node.tobytes() if node.count(-1) < len(node) else b""
+            if leaf and not web.boundary:
+                raise TheoremViolationError("closed web with vertices but no circle, digon or square face")
+            counts[digons, circles, leaf] += 1
+        elif (key := node.tobytes()) in memo:
             add(counts, memo[key], digons, circles)
         else:
             branchings = _count_branching(branchings)

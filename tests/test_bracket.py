@@ -340,10 +340,23 @@ def test_seeded_draws_offer_every_live_face_once(monkeypatch):
     assert len(draws) > 10_000
 
 
+class _CountedReads(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def test_dag_walks_the_faces_once(monkeypatch):
     # one walk over every face at the root; after that only the faces
-    # next to each splice, a few walks of at most four steps each
+    # next to each splice, a few walks of at most four steps each.  Every
+    # step of a face walk reads a rotation successor, so counting those
+    # reads counts the walk work wherever it is done.
     web = closure(flower(), flower())
+    want = bracket_module._dag_leaves(web)
     calls = Counter()
 
     def counted(name):
@@ -355,18 +368,21 @@ def test_dag_walks_the_faces_once(monkeypatch):
 
         monkeypatch.setattr(bracket_module, name, wrapper)
 
-    for name in ("_small_faces", "_face", "_splice_face"):
+    for name in ("_small_faces", "_splice_face"):
         counted(name)
     monkeypatch.setattr(DartMap, "faces", lambda self: pytest.fail("a full rescan"))
-    leaves = bracket_module._dag_leaves(web)
+    succ, corner, partner, index = bracket_module._dart_arrays(web)
+    succ = _CountedReads(succ)
+    leaves = bracket_module._dag_leaves(web, arrays=(succ, corner, partner, index))
+    assert leaves == want
     assert sum(leaves.values()) > 1  # squares were split
     assert calls["_small_faces"] == 1
-    assert calls["_face"] < 8 * calls["_splice_face"]
+    assert succ.reads < len(succ) + 24 * calls["_splice_face"]
 
 
 def test_dag_work_is_pinned(monkeypatch):
-    # the flower's self-pairing: looking each branch up before its digon
-    # collapse saves splices (1,755 without it) but no square branching
+    # the flower's self-pairing: square branchings and splices, digons and
+    # squares alike
     calls = Counter()
     for name in ("_splice_face", "_count_branching"):
         original = getattr(bracket_module, name)
@@ -377,14 +393,15 @@ def test_dag_work_is_pinned(monkeypatch):
 
         monkeypatch.setattr(bracket_module, name, wrapper)
     bracket_module._dag_leaves(closure(flower(), flower()))
-    assert calls == {"_count_branching": 377, "_splice_face": 1434}
+    assert calls == {"_count_branching": 377, "_splice_face": 1755}
 
 
 def test_simple_face_splice_matches_the_strand_walk(monkeypatch):
     # every splice of the default elimination against the strand walk on
-    # a copy: the same partner array, circles and faces pushed.  The corpus
-    # also sends faces through the strand walk, one of them closing a
-    # circle (the theta, the self-pairing of the tripod).
+    # a copy: the same partner array and circles, and the same faces
+    # pushed as _face finds through the far ends.  The corpus also sends
+    # faces through the strand walk, one of them closing a circle (the
+    # theta, the self-pairing of the tripod).
     splice, strands = bracket_module._splice_face, bracket_module._splice_strands
     strand_circles, steps = [], []
 
@@ -393,12 +410,15 @@ def test_simple_face_splice_matches_the_strand_walk(monkeypatch):
         return strand_circles[-1]
 
     def checked(succ, corner, partner, heap, walk, turn):
-        slow, slow_heap = partner[:], []
-        slow_circles = strands(succ, corner, slow, slow_heap, walk, turn)
+        spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
+        far = [partner[s] for s in spokes]
+        slow = partner[:]
+        slow_circles = strands(corner, slow, walk, spokes, far)
+        faces = [w for p in far if (w := bracket_module._face(succ, slow, p)) is not None]
         had = Counter(heap)
         circles = splice(succ, corner, partner, heap, walk, turn)
         assert (partner, circles) == (slow, slow_circles)
-        assert Counter(heap) - had == Counter(slow_heap)
+        assert Counter(heap) - had == Counter(min(w) + (len(w) == 4) * len(succ) for w in faces)
         steps.append(walk)
         return circles
 
@@ -410,27 +430,12 @@ def test_simple_face_splice_matches_the_strand_walk(monkeypatch):
     assert any(strand_circles)
 
 
-def test_dag_matches_tree_on_the_largest_flower_webs(monkeypatch):
-    # the self-pairings of the ten largest webs on the flower boundary.
-    # Some map is reached by two square splices but has its digons
-    # collapsed once: the second branch looked the collapse up.
+def test_dag_matches_tree_on_the_largest_flower_webs():
+    # the self-pairings of the ten largest webs on the flower boundary
     webs = sorted(generate_all_non_elliptic(FLOWER_SIGNS), key=lambda w: w.vertex_count)[-10:]
-    splice = bracket_module._splice_face
-    reached, collapsed = Counter(), Counter()
-
-    def recorded(succ, corner, partner, heap, walk, turn):
-        if len(walk) == 2:
-            collapsed[partner.tobytes()] += 1
-        circles = splice(succ, corner, partner, heap, walk, turn)
-        if len(walk) == 4:
-            reached[partner.tobytes()] += 1
-        return circles
-
-    monkeypatch.setattr(bracket_module, "_splice_face", recorded)
     for web in webs:
         closed = closure(web, web)
         assert _dag_counts(closed) == elimination_oracle._tree_leaves(closed)
-    assert any(n > 1 and collapsed[key] == 1 for key, n in reached.items())
 
 
 def _renamed(web: Web, rename) -> Web:
