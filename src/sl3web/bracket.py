@@ -51,6 +51,8 @@ QINT3 = quantum_integer(3)
 
 # square branchings one elimination may expand: nodes of its DAG
 MAX_SQUARE_BRANCHINGS = 200_000
+# (web, shift) summands split_elliptic may list
+MAX_SUMMANDS = 200_000
 
 
 def _smoothings(spokes):
@@ -339,7 +341,8 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     splits a summand three ways with shifts -2, 0, +2, a digon two ways
     with shifts -1, +1, and a square into its two smoothings at shift 0.
     For a closed web the summands are empty webs and the multiset of
-    shifts recovers the bracket.  Pieces keep the web's labels.
+    shifts recovers the bracket.  Pieces keep the web's labels.  More
+    than MAX_SUMMANDS summands raise SizeGuardError before any is listed.
     """
     require_valid(web)
     arrays = _dart_arrays(web)
@@ -347,7 +350,11 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     labels = list(index)
     pieces = {b"": make_web()}
     out: list[tuple[Web, int]] = []
-    for (digons, circles, leaf), count in _dag_leaves(web, arrays=arrays).items():
+    leaves = _dag_leaves(web, arrays=arrays)
+    summands = sum(count * 2**digons * 3**circles for (digons, circles, _leaf), count in leaves.items())
+    if summands > MAX_SUMMANDS:
+        raise SizeGuardError(f"{summands} summands; split_elliptic is capped at {MAX_SUMMANDS}")
+    for (digons, circles, leaf), count in leaves.items():
         if leaf not in pieces:
             partner = array(typecode, leaf)
             pieces[leaf] = make_web(

@@ -139,7 +139,7 @@ def _parse_faces(text: str) -> list[int]:
 
 
 def cmd_reduce(args) -> int:
-    from .io import dumps_web, load_web, web_to_json
+    from .io import load_web, save_web, web_to_json
     from .redgraph import enumerate_pairings, g_reduction, projection_degree_shift, red_graph_from_faces
 
     web = load_web(args.file)
@@ -153,8 +153,7 @@ def cmd_reduce(args) -> int:
         **{f"reduced_{k}": v for k, v in _web_summary(reduced).items()},
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_web(reduced))
+        save_web(reduced, args.out)
         report["written"] = args.out
     elif args.format == "structured":
         report["web"] = web_to_json(reduced)
@@ -163,7 +162,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .io import dumps_web, load_web
+    from .io import load_web, save_web
     from .redgraph import decompose
 
     web = load_web(args.file)
@@ -175,8 +174,7 @@ def cmd_decompose(args) -> int:
         rec = {"shift": shift, **_web_summary(factor)}
         if args.out:
             path = os.path.join(args.out, f"factor-{i:03d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps_web(factor))
+            save_web(factor, path)
             rec["written"] = path
         records.append(rec)
     _emit(
@@ -188,7 +186,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_generate(args) -> int:
     from .generate import generate_all_non_elliptic, generate_non_elliptic, invariant_dimension
-    from .io import dumps_web
+    from .io import save_web
     from .web import is_admissible_sequence
 
     signs = tuple(args.signs)
@@ -208,8 +206,7 @@ def cmd_generate(args) -> int:
         rec = _web_summary(web)
         if args.out:
             path = os.path.join(args.out, f"web-{i:03d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dumps_web(web))
+            save_web(web, path)
             rec["written"] = path
         records.append(rec)
     _emit(

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from random import Random
 
-from .errors import TheoremViolationError
-from .web import MINUS, PLUS, SINK, SOURCE, Web, closure, is_admissible_sequence, make_web
+from .errors import SizeGuardError, TheoremViolationError
+from .web import MINUS, PLUS, SINK, SOURCE, Web, _min_rotation, closure, is_admissible_sequence, make_web
 
 # (state, weight change) of a step, per sign
 _STEPS = {
@@ -153,11 +153,6 @@ def _relabel(start, vertices, edges):
     return label
 
 
-def _cyc(rot: tuple) -> tuple:
-    k = min(range(len(rot)), key=lambda i: rot[i])
-    return rot[k:] + rot[:k]
-
-
 def canonical_form(web: Web):
     """A relabelling-invariant fingerprint of a web.
 
@@ -176,12 +171,16 @@ def canonical_form(web: Web):
                         label[x] = len(label)
     vs = tuple(
         sorted(
-            (min(label[h] for h in rot), kind, _cyc(tuple(label[h] for h in rot)))
+            (min(label[h] for h in rot), kind, _min_rotation(tuple(label[h] for h in rot)))
             for _vid, kind, rot in web.vertices
         )
     )
     es = tuple(sorted((label[t], label[h]) for t, h in web.edges))
     return (web.signs, vs, es, web.circles)
+
+
+# webs one sign string may grow: its invariant dimension
+MAX_WEBS = 200_000
 
 
 def generate_non_elliptic(signs, max_vertices: int | None = None) -> list[Web]:
@@ -190,11 +189,17 @@ def generate_non_elliptic(signs, max_vertices: int | None = None) -> list[Web]:
     those with at most that many vertices.
 
     Grows one web per dominant state string.  Two strings growing the
-    same web raise TheoremViolationError (the growth is a bijection).
+    same web raise TheoremViolationError (the growth is a bijection), as
+    does a count of grown webs other than the invariant dimension (the
+    webs are a basis).  Signs with more than MAX_WEBS webs raise
+    SizeGuardError before any is grown.
     """
     signs = tuple(signs)
     if not is_admissible_sequence(signs):
         return []
+    want = invariant_dimension(signs)
+    if want > MAX_WEBS:
+        raise SizeGuardError(f"{want} webs over {''.join(signs)}; generation is capped at {MAX_WEBS}")
     found: dict = {}
     for states in _dominant_paths(signs):
         web = _grow(signs, states)
@@ -204,6 +209,11 @@ def generate_non_elliptic(signs, max_vertices: int | None = None) -> list[Web]:
                 f"two state strings over {''.join(signs)} grow the same web"
             )
         found[key] = web
+    if len(found) != want:
+        raise TheoremViolationError(
+            f"{len(found)} non-elliptic webs over {''.join(signs)} "
+            f"but the invariant space has dimension {want}"
+        )
     return [
         found[k]
         for k in sorted(found)
@@ -239,19 +249,10 @@ def invariant_dimension(signs) -> int:
 
 
 def generate_all_non_elliptic(signs) -> list[Web]:
-    """Provably all non-elliptic webs over the signs, up to isomorphism.
-
-    The webs are a basis of the invariant space, so their number must
-    equal its dimension; anything else raises TheoremViolationError.
-    """
-    webs = generate_non_elliptic(signs)
-    want = invariant_dimension(signs)
-    if len(webs) != want:
-        raise TheoremViolationError(
-            f"{len(webs)} non-elliptic webs over {''.join(signs)} "
-            f"but the invariant space has dimension {want}"
-        )
-    return webs
+    """Provably all non-elliptic webs over the signs, up to isomorphism:
+    generate_non_elliptic with no vertex bound, whose count of webs is
+    checked against the invariant dimension."""
+    return generate_non_elliptic(signs)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     StageMismatchError,
     TheoremViolationError,
 )
-from .web import DartMap, RegionTable, Web, _elliptic_face, region_table
+from .web import DartMap, RegionTable, Web, _components, _elliptic_face, region_table
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,8 @@ class DualGraph:
 
 def dual_graph(web: Web) -> DualGraph:
     table = region_table(web)
-    sides = table.sides
-    corners = {
-        vid: tuple(table.region_of[h] for h in rot) for vid, _k, rot in web.vertices
-    }
-    degrees = [0] * len(table.regions)
-    for a, b in sides:
-        degrees[a] += 1
-        degrees[b] += 1
-    return DualGraph(web, table, sides, corners, tuple(degrees))
+    corners = {vid: tuple(table.region_of[h] for h in rot) for vid, _k, rot in web.vertices}
+    return DualGraph(web, table, table.sides, corners, tuple(r.side_count for r in table.regions))
 
 
 class RedGraph:
@@ -130,23 +123,11 @@ class RedGraph:
         return all(self.ed(f) <= 4 for f in self.faces)
 
     def components(self) -> list[tuple[int, ...]]:
-        parent = {f: f for f in self.faces}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in self.edges:
-            a, b = self.dual.sides[i]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        """The faces of each connected component, ascending."""
         groups: dict[int, list[int]] = {}
-        for f in self.faces:
-            groups.setdefault(find(f), []).append(f)
-        return [tuple(sorted(g)) for g in sorted(groups.values())]
+        for f, root in _components(self.faces, (self.dual.sides[i] for i in self.edges)).items():
+            groups.setdefault(root, []).append(f)
+        return sorted(map(tuple, groups.values()))
 
 
 def corner_selection_ok(dual: DualGraph, faces) -> bool:

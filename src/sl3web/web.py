@@ -99,16 +99,15 @@ def make_web(
     Normal form makes structural equality meaningful for webs built by
     different code paths.  No validity check happens here; see validate().
     """
-    vs = []
-    for vid, kind, rot in vertices:
-        rot = tuple(rot)
-        if rot:
-            k = min(range(len(rot)), key=lambda i: rot[i])
-            rot = rot[k:] + rot[:k]
-        vs.append((vid, kind, rot))
-    vs.sort(key=lambda v: v[0])
+    vs = sorted(((vid, kind, _min_rotation(tuple(rot))) for vid, kind, rot in vertices), key=lambda v: v[0])
     es = sorted((int(t), int(h)) for t, h in edges)
     return Web(tuple((int(h), s) for h, s in boundary), tuple(vs), tuple(es), circles)
+
+
+def _min_rotation(cycle: tuple) -> tuple:
+    """The cyclic rotation of `cycle` that starts at its smallest entry."""
+    k = cycle.index(min(cycle)) if cycle else 0
+    return cycle[k:] + cycle[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +168,13 @@ class DartMap:
         """Face orbits: from each half-edge, cross its edge and turn to the
         next half-edge counterclockwise at the far end, the border being
         one more vertex.  An orbit touches the border exactly when it
-        holds a boundary half-edge.  Each orbit starts at its earliest
-        half-edge in partner-table order; the splice updates partners in
-        place, so that order, and with it the elimination order of a
-        seeded bracket, is the order of the web's edges."""
+        holds a boundary half-edge.  The walk starts from the half-edges
+        in ascending order, so each orbit starts at its smallest
+        half-edge and the orbits come out sorted."""
         succ, partner = self.succ, self.partner
         seen: set[int] = set()
         orbits = []
-        for d in partner:
+        for d in sorted(partner):
             if d in seen:
                 continue
             orbit = []
@@ -261,18 +259,10 @@ class DartMap:
             del self.partner[h]
 
 
-def _node(m: DartMap, h: int) -> tuple:
-    """The endpoint of a half-edge for connectivity: its vertex, or the
-    border circle that holds every boundary point."""
-    return ("v", m.vertex_of[h]) if h in m.vertex_of else ("border",)
-
-
-def _components(web: Web, m: DartMap) -> dict:
-    """Map every endpoint ('v', vid) / ('border',) to a component id.
-
-    All border positions belong to one component (the border circle).
-    """
-    parent: dict = {}
+def _components(nodes, pairs) -> dict:
+    """Map every node to the root of its connected component, the
+    components being those of the graph on `nodes` with edges `pairs`."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -280,18 +270,18 @@ def _components(web: Web, m: DartMap) -> dict:
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-
-    for vid, _k, _r in web.vertices:
-        parent[("v", vid)] = ("v", vid)
-    if web.boundary:
-        parent[("border",)] = ("border",)
-    for t, h in web.edges:
-        union(_node(m, t), _node(m, h))
     return {x: find(x) for x in parent}
+
+
+def _web_components(web: Web, vertex_of: dict) -> dict:
+    """_components of a web's map: a vertex id per vertex and None for the
+    border circle, which holds every boundary point."""
+    nodes = [vid for vid, _k, _r in web.vertices] + ([None] if web.boundary else [])
+    return _components(nodes, ((vertex_of.get(t), vertex_of.get(h)) for t, h in web.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +364,19 @@ def _validated(web: Web):
 
     # Euler count: each component, the border one vertex, must be a sphere map.
     orbits = m.faces()
-    comp = _components(web, m)
+    comp = _web_components(web, m.vertex_of)
     counts: dict = {}
     for root in comp.values():
         counts.setdefault(root, [0, 0, 0])[0] += 1  # V, E, F
     for t, _h in web.edges:
-        counts[comp[_node(m, t)]][1] += 1
+        counts[comp[m.vertex_of.get(t)]][1] += 1
     for orbit in orbits:
-        counts[comp[_node(m, orbit[0])]][2] += 1
+        counts[comp[m.vertex_of.get(orbit[0])]][2] += 1
     for root, (v, e, f) in counts.items():
         if v - e + f != 2:
+            node = ("border",) if root is None else ("v", root)
             problems.append(
-                f"planarity: component of {root} has Euler count {v - e + f} (expected 2); "
+                f"planarity: component of {node} has Euler count {v - e + f} (expected 2); "
                 "the rotation system is not a plane embedding"
             )
     return problems, m, orbits, comp
@@ -449,19 +440,15 @@ def region_table(web: Web) -> RegionTable:
     problems, m, orbits, comp = _validated(web)
     if problems:
         raise InvalidWebError("; ".join(problems))
-    walks = []
-    for orbit in orbits:
-        k = orbit.index(min(orbit))
-        walks.append(tuple(orbit[k:] + orbit[:k]))
-    walks.sort()  # by smallest half-edge: orbits are disjoint
+    walks = list(map(tuple, orbits))  # each from its smallest half-edge, ascending
 
     # the outer faces: the one holding the last boundary half-edge, and
     # the first walk of every closed component
     last = web.boundary[-1][0] if web.boundary else None
-    border_root = comp.get(("border",))
+    border_root = comp.get(None)
     outer: dict = {}
     for walk in walks:
-        root = comp[_node(m, walk[0])]
+        root = comp[m.vertex_of.get(walk[0])]
         if root not in outer and (root != border_root or last in walk):
             outer[root] = walk
     unbounded = list(outer.values())  # in walk order
@@ -545,9 +532,8 @@ def is_boundary_connected(web: Web) -> bool:
         return True
     if not web.boundary:
         return False
-    comp = _components(web, DartMap(web))
-    border_root = comp[("border",)]
-    return all(comp[("v", vid)] == border_root for vid, _k, _r in web.vertices)
+    comp = _web_components(web, {h: vid for vid, _k, rot in web.vertices for h in rot})
+    return all(comp[vid] == comp[None] for vid, _k, _r in web.vertices)
 
 
 # ---------------------------------------------------------------------------

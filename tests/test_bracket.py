@@ -564,6 +564,15 @@ def test_split_elliptic_is_capped(monkeypatch):
         split_elliptic(web)
 
 
+def test_split_elliptic_counts_its_summands_before_listing_them():
+    # 3^25 summands are refused; 3^11 = 177,147 still fit under the cap
+    with pytest.raises(SizeGuardError, match="summands"):
+        split_elliptic(circle_web(25))
+    pieces = split_elliptic(circle_web(11))
+    assert len(pieces) == 3**11 <= bracket_module.MAX_SUMMANDS
+    assert Counter(s for _w, s in pieces) == dict((quantum_integer(3) ** 11).items())
+
+
 # -- hom pairings ---------------------------------------------------------------
 
 

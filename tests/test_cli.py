@@ -186,6 +186,27 @@ def test_bracket_size_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert "square branchings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "{circles}"], "split_elliptic is capped"),
+        (["generate", "+-" * 20], "generation is capped"),
+    ],
+    ids=["decompose", "generate"],
+)
+def test_size_guards_exit_3_without_a_traceback(argv, message, tmp_path):
+    # 3^25 summands; an invariant dimension of 162,958,355,218,089 webs
+    path = tmp_path / "circles.json"
+    path.write_text('{"circles": [{"count": 25}]}')
+    argv = [a.format(circles=path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl3web.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 3
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_utf8_file_exit_code(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b"\xff\xfe{}")

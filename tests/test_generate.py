@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
+import sl3web.generate as generate_module
 from sl3web.catalog import FLOWER_SIGNS, arc, digon_arc, flower, tripod
-from sl3web.errors import TheoremViolationError
+from sl3web.errors import SizeGuardError, TheoremViolationError
 from sl3web.generate import (
     _dominant_paths,
     _grow,
@@ -174,6 +175,32 @@ def test_dominant_paths_count_the_invariant_dimension():
         for signs in _admissible(n):
             paths = list(_dominant_paths(signs))
             assert len(set(paths)) == len(paths) == invariant_dimension(signs), signs
+
+
+def test_generation_is_capped_by_the_invariant_dimension(monkeypatch):
+    # one dimension count per call serves both the cap and the basis check
+    counted = []
+    original = generate_module.invariant_dimension
+
+    def counting(signs):
+        counted.append(signs)
+        return original(signs)
+
+    monkeypatch.setattr(generate_module, "invariant_dimension", counting)
+    assert len(generate_all_non_elliptic("+-+-+-")) == 6
+    assert len(counted) == 1
+    monkeypatch.setattr(generate_module, "MAX_WEBS", 5)
+    with pytest.raises(SizeGuardError, match="capped at 5"):
+        generate_non_elliptic("+-+-+-", 0)
+    with pytest.raises(SizeGuardError):
+        generate_all_non_elliptic("+-+-+-")
+
+
+def test_basis_check_compares_every_grown_web(monkeypatch):
+    # the count is checked before the vertex bound filters
+    monkeypatch.setattr(generate_module, "invariant_dimension", lambda signs: 7)
+    with pytest.raises(TheoremViolationError, match="dimension 7"):
+        generate_non_elliptic("+-+-+-", 0)
 
 
 def test_stuck_growth_is_a_theorem_violation():

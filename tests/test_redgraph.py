@@ -152,6 +152,32 @@ def test_flower_red_graph_census():
     assert petals.components() == [petals.faces]
 
 
+def test_components_match_a_search_over_the_red_edges():
+    # every red graph of the flower, the many-component ones included
+    dual = dual_graph(flower())
+    sizes = set()
+    for red in enumerate_red_graphs(flower(), dual):
+        adj = {f: [] for f in red.faces}
+        for i in red.edges:
+            a, b = dual.sides[i]
+            adj[a].append(b)
+            adj[b].append(a)
+        left, want = set(red.faces), []
+        while left:
+            todo = [min(left)]
+            seen = set(todo)
+            while todo:
+                for g in adj[todo.pop()]:
+                    if g not in seen:
+                        seen.add(g)
+                        todo.append(g)
+            left -= seen
+            want.append(tuple(sorted(seen)))
+        assert red.components() == sorted(want)
+        sizes.add(len(want))
+    assert max(sizes) >= 2
+
+
 def test_flower_fitting_orientations():
     web = flower()
     petals = next(r for r in enumerate_red_graphs(web) if is_admissible(r))

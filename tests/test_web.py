@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import sl3web.web as web_module
 from sl3web.catalog import (
     arc,
     circle_web,
@@ -194,6 +195,24 @@ def test_boundary_connected():
     assert is_boundary_connected(empty_web())
 
 
+def test_boundary_connectivity_builds_no_dart_map(monkeypatch):
+    # the component pass reads the rotations directly
+    def refuse(web):
+        raise AssertionError("is_boundary_connected built a DartMap")
+
+    monkeypatch.setattr(web_module, "DartMap", refuse)
+    t = theta()
+    shift = 1 + max(h for _v, _k, rot in t.vertices for h in rot)
+    apart = make_web(
+        arc().boundary,
+        [(v + 10, k, [h + shift for h in rot]) for v, k, rot in t.vertices],
+        arc().edges + tuple((a + shift, b + shift) for a, b in t.edges),
+    )
+    assert is_boundary_connected(flower())
+    assert is_boundary_connected(tripod())
+    assert not is_boundary_connected(apart)
+
+
 # -- mirror and closure --------------------------------------------------------
 
 
@@ -295,13 +314,13 @@ def test_colouring_circle_interior():
 # -- pinned face structure ----------------------------------------------------
 
 
-def test_face_orbits_start_at_their_first_half_edge_in_partner_order():
+def test_face_orbits_start_at_their_smallest_half_edge_in_ascending_order():
     # every edge of this theta runs from a larger tail to a smaller head, so
-    # the partner table lists 10 before 2 and the orbit {2, 10} starts at 10
+    # the partner table lists 10 before 2, yet the orbit {2, 10} starts at 2
     theta_web = make_web(
         (), [(0, SOURCE, (10, 11, 12)), (1, SINK, (1, 2, 3))], [(10, 1), (11, 3), (12, 2)]
     )
-    assert DartMap(theta_web).faces() == [[10, 2], [1, 11], [3, 12]]
+    assert DartMap(theta_web).faces() == [[1, 11], [2, 10], [3, 12]]
     # the flower with its half-edge ids reversed, boundary half-edges included
     web = flower()
     top = 1 + max(h for _v, _k, rot in web.vertices for h in rot)
@@ -313,12 +332,11 @@ def test_face_orbits_start_at_their_first_half_edge_in_partner_order():
     )
     assert validate(web) == []
     for m in (DartMap(theta_web), DartMap(web)):
-        position = {d: i for i, d in enumerate(m.partner)}
+        assert list(m.partner) != sorted(m.partner)
         orbits = m.faces()
-        assert [o[0] for o in orbits] == sorted(
-            (min(o, key=position.get) for o in orbits), key=position.get
-        )
-        assert any(o[0] != min(o) for o in orbits)
+        assert all(o[0] == min(o) for o in orbits)
+        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+        assert sorted(d for o in orbits for d in o) == sorted(m.partner)
 
 
 def _sha256(value) -> str:
