@@ -14,8 +14,12 @@ the same map.  One routine, _dag_leaves, therefore walks every
 elimination as a DAG over flat integer arrays: half-edges are numbered
 in label order, so the least (length, smallest half-edge) picks the
 faces the labels would, and each map met at a square is evaluated once,
-memoised by its partner array's bytes.  After one face walk at the root,
-a heap of digon and square faces is updated only next to each splice.
+memoised by its partner array's bytes.  hom_poly numbers its closure
+breadth-first from the seam instead: its webs' labels are arbitrary,
+and the narrow elimination front meets 2-5 times fewer maps on polyhex
+self-pairings.  bracket, its seeded orders and split_elliptic keep
+label order.  After one face walk at the root, a heap of digon and
+square faces is updated only next to each splice.
 A seeded order draws from the live faces on that heap instead of taking
 the least.  A simple face (distinct corners, no edge from spoke to
 spoke) splices without the strand walk, which may close circles.  The
@@ -44,7 +48,7 @@ from random import Random
 
 from .errors import BoundaryMismatchError, SizeGuardError, TheoremViolationError
 from .laurent import LaurentPoly, quantum_integer
-from .web import DartMap, Region, Web, closure, make_web, require_valid
+from .web import DartMap, Region, Web, _glued, make_web, require_valid
 
 QINT2 = quantum_integer(2)
 QINT3 = quantum_integer(3)
@@ -99,6 +103,35 @@ def _dart_arrays(web: Web):
     if web.boundary:
         partner[-1] = n - 1
     return succ, corner, partner, index
+
+
+def _seam_arrays(glued: DartMap, seam):
+    """_dart_arrays of a closure's glued map, numbered breadth-first from
+    the seam (see web._glued): each seam half-edge not numbered yet
+    numbers its vertex counterclockwise from itself, and so in turn does
+    the partner of every half-edge numbered.  What the seam does not
+    reach follows in label order.  Only the boundary order fixes this
+    numbering, and it keeps the elimination front narrow."""
+    partner, succ = glued.partner, glued.succ
+    index: dict[int, int] = {}
+    for x in seam:
+        queue = [x]
+        for h in queue:  # grows as the walk numbers half-edges
+            while h not in index:
+                index[h] = len(index)
+                queue.append(partner[h])
+                h = succ[h]
+    if len(index) < len(partner):
+        for h in sorted(partner):
+            index.setdefault(h, len(index))
+    number = index.__getitem__  # index runs in number order
+    corner = [()] * len(index)
+    for rot in glued.rot.values():
+        rot = tuple(map(number, rot))
+        for h in rot:
+            corner[h] = rot
+    partners = array(_typecode(len(index)), map(number, map(partner.__getitem__, index)))
+    return list(map(number, map(succ.__getitem__, index))), corner, partners, index
 
 
 def _small_faces(succ, partner) -> list[int]:
@@ -218,14 +251,14 @@ def _splice_strands(corner, partner, walk, spokes, far) -> int:
     return circles
 
 
-def _dag_leaves(web: Web, rng: Random | None = None, arrays=None) -> Counter:
+def _dag_leaves(web: Web | DartMap, rng: Random | None = None, arrays=None) -> Counter:
     """Leaf counts by (digons, circles, leaf) of the elimination of a
     web's digon and square faces, in the default order or one drawn
     from rng, with every map met at a square evaluated once.  A leaf is
     its partner array's bytes, or b"" when no half-edge is left; a
     closed web must leave none.  `arrays` are the web's _dart_arrays,
-    when the caller has them already; the walk splices their partner
-    array in place.
+    or a glued map's _seam_arrays, when the caller has them already; the
+    walk splices their partner array in place.
 
     A node owns only its partner array (see _dart_arrays) and its heap
     of digon and square faces, kept up to date by _splice_face after
@@ -294,10 +327,10 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
     return _evaluate(web, rng)
 
 
-def _evaluate(web: Web, rng: Random | None = None) -> LaurentPoly:
-    """The bracket of a closed web already known to be valid."""
+def _evaluate(web: Web | DartMap, rng: Random | None = None, arrays=None) -> LaurentPoly:
+    """The bracket of a closed web (or glued map) already known to be valid."""
     value = LaurentPoly.zero()
-    for (digons, circles, _leaf), count in _dag_leaves(web, rng).items():
+    for (digons, circles, _leaf), count in _dag_leaves(web, rng, arrays).items():
         value = value + _multiplier(digons, circles) * count
     return value
 
@@ -345,6 +378,11 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     than MAX_SUMMANDS summands raise SizeGuardError before any is listed.
     """
     require_valid(web)
+    return _split_elliptic(web)
+
+
+def _split_elliptic(web: Web) -> list[tuple[Web, int]]:
+    """split_elliptic of a web already known to be valid."""
     arrays = _dart_arrays(web)
     typecode, index = arrays[2].typecode, arrays[3]
     labels = list(index)
@@ -378,8 +416,10 @@ def boundary_weight(signs) -> int:
 
 
 def hom_poly(w1: Web, w2: Web) -> LaurentPoly:
-    """Bracket of the closure of w1's mirror against w2."""
-    return _evaluate(closure(w1, w2))
+    """Bracket of the closure of w1's mirror against w2, numbered from the
+    seam (_seam_arrays): labels are arbitrary, and this keeps the DAG small."""
+    glued, seam = _glued(w1, w2)
+    return _evaluate(glued, arrays=_seam_arrays(glued, seam))
 
 
 def hom_graded_dimension(w1: Web, w2: Web) -> LaurentPoly:

@@ -185,20 +185,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .generate import generate_all_non_elliptic, generate_non_elliptic, invariant_dimension
+    from .generate import generate_all_non_elliptic
     from .io import save_web
-    from .web import is_admissible_sequence
 
     signs = tuple(args.signs)
     if any(s not in "+-" for s in signs):
         raise InvalidWebError(f"signs must be a string over +-, got {args.signs!r}")
-    expected = invariant_dimension(signs) if is_admissible_sequence(signs) else 0
-    if args.max_vertices is None:
-        webs = generate_all_non_elliptic(signs)
-        exhaustive = True
-    else:
-        webs = generate_non_elliptic(signs, args.max_vertices)
-        exhaustive = len(webs) == expected
+    # the generator has checked its count against the invariant dimension
+    webs = generate_all_non_elliptic(signs)
+    expected = len(webs)
+    if args.max_vertices is not None:
+        webs = [web for web in webs if web.vertex_count <= args.max_vertices]
+    exhaustive = len(webs) == expected
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     records = []

@@ -25,14 +25,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bracket import classify, split_elliptic
+from .bracket import _split_elliptic, classify
 from .errors import (
     PairingError,
     SizeGuardError,
     StageMismatchError,
     TheoremViolationError,
 )
-from .web import DartMap, RegionTable, Web, _components, _elliptic_face, region_table
+from .web import DartMap, RegionTable, Web, _components, _elliptic_face, region_table, require_valid
 
 
 @dataclass(frozen=True)
@@ -626,14 +626,16 @@ def decompose(web: Web) -> Decomposition:
 
     Elliptic faces split off shifted copies exactly; for a non-elliptic
     decomposable web one exact reduction summand is extracted and the
-    remainder is left unaccounted (complete=False).
+    remainder is left unaccounted (complete=False).  The web is
+    validated once; its pieces and reductions are valid by construction.
     """
+    require_valid(web)
     factors: list[tuple[Web, int]] = []
     complete = True
     work: list[tuple[Web, int]] = [(web, 0)]
     while work:
         w, base = work.pop()
-        for piece, shift in split_elliptic(w):
+        for piece, shift in _split_elliptic(w):
             total = base + shift
             if not piece.boundary:
                 # a closed non-elliptic web is empty; its module is the ground ring

@@ -617,6 +617,12 @@ def closure(w1: Web, w2: Web) -> Web:
     strand, the mirrored copy having its rotations reversed because the
     reflection reverses the orientation of the plane.
     """
+    return _glued(w1, w2)[0].to_web()
+
+
+def _glued(w1: Web, w2: Web) -> tuple[DartMap, list[int]]:
+    """closure's map before it becomes a Web, and the seam: the far ends
+    of w2's boundary strands that end at a vertex, in boundary order."""
     require_valid(w1)
     if w2 is not w1:
         require_valid(w2)
@@ -641,5 +647,6 @@ def closure(w1: Web, w2: Web) -> Web:
 
     # both boundaries dropped: their half-edges are free ends for the splice
     glued = DartMap(Web((), tuple(vertices), tuple(edges), w1.circles + w2.circles))
+    seam = [p for b, _s in w2.boundary if (p := glued.partner[b]) in glued.vertex_of]
     glued.splice((), [(b2, b1 + hoff) for (b2, _s2), (b1, _s1) in zip(w2.boundary, w1.boundary)])
-    return glued.to_web()
+    return glued, seam

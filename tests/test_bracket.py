@@ -12,6 +12,7 @@ import pytest
 
 import elimination_oracle
 import sl3web.bracket as bracket_module
+import sl3web.web as web_module
 from sl3web.bracket import (
     boundary_weight,
     bracket,
@@ -615,6 +616,105 @@ def test_modules_distinct_on_basis_webs():
 def test_hom_mismatched_boundaries():
     with pytest.raises(BoundaryMismatchError):
         hom_poly(arc(), tripod())
+
+
+# -- hom_poly's seam numbering ---------------------------------------------------
+
+
+def _with_theta(web: Web) -> Web:
+    """The web beside a disjoint theta: a closed component no boundary
+    strand reaches."""
+    base = max(x for e in web.edges for x in e) + 1
+    vid = max([v for v, _k, _r in web.vertices], default=0) + 1
+    vertices = [
+        *web.vertices,
+        (vid, SOURCE, (base, base + 1, base + 2)),
+        (vid + 1, SINK, (base + 5, base + 4, base + 3)),
+    ]
+    edges = [*web.edges, (base, base + 3), (base + 1, base + 4), (base + 2, base + 5)]
+    return make_web(web.boundary, vertices, edges, web.circles)
+
+
+def test_hom_poly_matches_label_order_on_self_closures_up_to_8():
+    for n in range(9):
+        for signs in itertools.product("+-", repeat=n):
+            if is_admissible_sequence(signs):
+                for web in generate_all_non_elliptic(signs):
+                    assert hom_poly(web, web) == bracket_module._evaluate(closure(web, web))
+
+
+def test_hom_poly_matches_label_order_on_mixed_flower_pairs():
+    webs = generate_all_non_elliptic(FLOWER_SIGNS)
+    rng = Random(18)
+    pairs = [tuple(rng.sample(webs, 2)) for _ in range(50)]
+    for w1, w2 in pairs:
+        assert w1 != w2
+        assert hom_poly(w1, w2) == bracket_module._evaluate(closure(w1, w2))
+
+
+def test_hom_poly_matches_label_order_off_the_seam():
+    # circles, closed components, two tripods whose closure falls apart
+    # and, with only an arc as w2, no seam strand ending at a vertex
+    two_tripods = make_web(
+        [(100 + i, "+") for i in range(6)],
+        [(0, SINK, (10, 11, 12)), (1, SINK, (13, 14, 15))],
+        [(100 + i, 10 + i) for i in range(6)],
+    )
+    w = flower()
+    pairs = [
+        (digon_arc(), arc()),
+        (arc(), digon_arc()),
+        (Web(w.boundary, w.vertices, w.edges, 2), w),
+        (w, Web(w.boundary, w.vertices, w.edges, 1)),
+        (_with_theta(w), w),
+        (w, _with_theta(w)),
+        (_with_theta(tripod()), _with_theta(tripod())),
+        (two_tripods, two_tripods),
+    ]
+    for w1, w2 in pairs:
+        assert hom_poly(w1, w2) == bracket_module._evaluate(closure(w1, w2))
+
+
+def test_hom_poly_without_a_seam_vertex_numbers_in_label_order():
+    glued, seam = web_module._glued(digon_arc(), arc())
+    assert seam == []
+    succ, corner, partner, index = bracket_module._seam_arrays(glued, seam)
+    label = bracket_module._dart_arrays(closure(digon_arc(), arc()))
+    assert (succ, partner, index) == (label[0], label[2], label[3])
+    assert list(map(set, corner)) == list(map(set, label[1]))
+
+
+def _branchings(monkeypatch, w1: Web, w2: Web) -> int:
+    calls = []
+    original = bracket_module._count_branching
+
+    def counted(branchings):
+        calls.append(branchings)
+        return original(branchings)
+
+    monkeypatch.setattr(bracket_module, "_count_branching", counted)
+    hom_poly(w1, w2)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_hom_poly_work_does_not_depend_on_labels(monkeypatch):
+    rng = Random(5)
+    # the same numbering, so the same arrays, whatever the labels
+    webs = [flower()] + sorted(generate_all_non_elliptic(FLOWER_SIGNS), key=lambda w: w.vertex_count)[-5:]
+    for web in webs:
+        labels = sorted({x for e in web.edges for x in e})
+        shuffled = dict(zip(labels, rng.sample(labels, len(labels))))
+        renamed = _renamed(web, shuffled.__getitem__)
+        arrays = [bracket_module._seam_arrays(*web_module._glued(w, w)) for w in (web, renamed)]
+        assert arrays[0][0] == arrays[1][0] and arrays[0][2] == arrays[1][2]
+        assert _branchings(monkeypatch, web, web) == _branchings(monkeypatch, renamed, renamed)
+
+
+def test_hom_poly_work_is_pinned(monkeypatch):
+    # the flower's self-pairing numbered from the seam; label order
+    # branches 377 times (test_dag_work_is_pinned)
+    assert _branchings(monkeypatch, flower(), flower()) == 197
 
 
 # -- classification ---------------------------------------------------------------

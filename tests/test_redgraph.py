@@ -17,7 +17,7 @@ import sl3web.bracket
 import sl3web.redgraph
 from sl3web.bracket import classify
 from sl3web.catalog import FLOWER_SIGNS, arc, cube, digon_arc, flower, theta, tripod
-from sl3web.errors import PairingError, StageMismatchError
+from sl3web.errors import InvalidWebError, PairingError, StageMismatchError
 from sl3web.generate import canonical_form, generate_all_non_elliptic
 from sl3web.redgraph import (
     RedGraph,
@@ -43,7 +43,7 @@ from sl3web.redgraph import (
     red_graph_from_faces,
 )
 from sl3web.verify import _girth
-from sl3web.web import DartMap, Web, closure, is_admissible_sequence, make_web, validate
+from sl3web.web import SINK, SOURCE, DartMap, Web, closure, is_admissible_sequence, make_web, validate
 
 
 def flower_dual():
@@ -557,7 +557,8 @@ def test_decompose_reuses_the_classified_bracket(monkeypatch):
 
     def counted(web, rng=None, arrays=None):
         if not web.boundary:  # split_elliptic walks the DAG too; keep brackets
-            bracketed.append(web)
+            # hom_poly hands over the closure's glued map, not its Web
+            bracketed.append(web.to_web() if isinstance(web, DartMap) else web)
         return dag_leaves(web, rng, arrays)
 
     monkeypatch.setattr(sl3web.bracket, "_dag_leaves", counted)
@@ -573,6 +574,15 @@ def test_decompose_reuses_the_classified_bracket(monkeypatch):
     gc.collect()
     assert gone() is None
     assert probe not in sl3web.bracket._classes
+
+
+def test_decompose_rejects_an_invalid_web():
+    # one vertex's kind flipped: its edges now point the wrong way
+    w = flower()
+    (vid, kind, rot), *rest = w.vertices
+    bad = Web(w.boundary, ((vid, SOURCE if kind == SINK else SINK, rot), *rest), w.edges)
+    with pytest.raises(InvalidWebError):
+        decompose(bad)
 
 
 def test_decompose_cube_closed_web():
