@@ -13,7 +13,10 @@ index
 
 vanishes.  One include-first walk over the disk faces reaches every red
 graph; the exact-red-graph search runs it with a floor on the index and
-skips the subtrees whose index bound cannot beat it.  Reducing a web
+skips the subtrees whose index bound cannot beat it.  The walk and the
+minimal-subgraph scan keep sets of faces as bitmasks and count red edges
+with int.bit_count(); the bound leaves out every face that the corner
+rule already blocks.  Reducing a web
 along a red graph deletes every web edge bordering a selected face
 together with the vertices those edges use, then splices the cut
 strands back together, pairwise around each face.
@@ -145,10 +148,31 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
     Backtracks over the disk faces, each taken before it is left out,
     with the corner rule checked incrementally, so branches that already
     pinch some vertex are never explored.  The walk keeps an explicit
-    stack of the faces taken and carries their red edges along.  Guarded
-    for webs with more than MAX_ENUM_FACES disk faces.
+    stack of the faces taken and reads the red edges off at each leaf.
+    Guarded for webs with more than MAX_ENUM_FACES disk faces.
     """
     yield from _walk_red_graphs(dual_graph(web) if dual is None else dual)
+
+
+def _face_masks(dual: DualGraph, faces):
+    """(pos, across, w, bit, nbr) for `faces` numbered by position: pos[f]
+    is f's number, across[k] the numbers across face k's edges among them.
+    Face k owns bit[k], the w bits from w*k up, w at least the most edges
+    two faces share; nbr[k] holds m of face j's bits when k and j share m
+    edges, so (nbr[k] & s).bit_count() counts the edges into s."""
+    pos = {f: k for k, f in enumerate(faces)}
+    across = [[pos[g] for _e, g in dual.incidence[f] if g in pos] for f in faces]
+    w = 1 + max((len(row) - len(set(row)) for row in across), default=0)
+    bit = [((1 << w) - 1) << w * k for k in range(len(faces))]
+    nbr = []
+    for k, row in enumerate(across):
+        if k in row:
+            raise AssertionError("disk faces never bound both sides of an edge")
+        m = 0
+        for j in row:
+            m |= (m & bit[j]) << 1 | 1 << w * j  # one more of face j's bits
+        nbr.append(m)
+    return pos, across, w, bit, nbr
 
 
 def _walk_red_graphs(dual: DualGraph, floor=None):
@@ -156,81 +180,81 @@ def _walk_red_graphs(dual: DualGraph, floor=None):
     read afresh at every node, it builds only red graphs of index above
     floor() and skips every subtree whose bound is at most floor().
 
-    The index l(S) = sum(2 - deg_D/2) + |E(S)| of the faces S taken is
-    kept along.  Charging each red edge to its earlier end, a later face
-    f adds at most gain(f) = 2 - deg_D(f)/2 + e(f, S) + e(f, disk faces
-    after f), so l(S) + sum(max(0, gain(f)) for f in disk[i:]) bounds
-    every red graph below the node deciding disk[i], corner rule or not.
+    The faces taken S and the faces blocked, a third corner of a vertex
+    with two in S, are _face_masks sets of disk faces, and the index
+    l(S) = sum(2 - deg_D/2) + |E(S)| is kept along.  A face is live while
+    undecided and not blocked.  Charging each red edge to its earlier end,
+    a live face f adds at most gain(f) = 2 - deg_D(f)/2 + e(f, S)
+    + e(f, live faces after f), so l(S) + rest, rest the sum of
+    max(0, gain(f)) over live f, bounds every red graph below the node.
     """
     disk = dual.disk_faces()
-    if len(disk) > MAX_ENUM_FACES:
+    n = len(disk)
+    if n > MAX_ENUM_FACES:
         raise SizeGuardError(
-            f"{len(disk)} disk faces; red graph enumeration is capped at {MAX_ENUM_FACES}"
+            f"{n} disk faces; red graph enumeration is capped at {MAX_ENUM_FACES}"
         )
-    incidence = dual.incidence
-    if any(g == f for f in disk for _e, g in incidence[f]):
-        raise AssertionError("disk faces never bound both sides of an edge")
-    by_face: dict[int, list[int]] = {f: [] for f in disk}
-    for vid, corners in dual.corners.items():
-        for c in corners:
-            if c in by_face:
-                by_face[c].append(vid)
-    count = {vid: 0 for vid in dual.corners}
-    pos = {f: k for k, f in enumerate(disk)}
-    # per disk face: the disk faces after it across each of its edges
-    ahead = {f: [g for _e, g in incidence[f] if pos.get(g, -1) > pos[f]] for f in disk}
-    gain = {f: 2 - dual.degrees[f] // 2 + len(ahead[f]) for f in disk}
-    taken = [False] * len(dual.degrees)
+    pos, across, w, bit, nbr = _face_masks(dual, disk)
+    # per disk face: (edge, number) of its edges to earlier disk faces
+    back = [[(e, pos[g]) for e, g in dual.incidence[f] if pos.get(g, n) < k] for k, f in enumerate(disk)]
+    # a vertex with disk corners a < b < c: taking b with a taken blocks c,
+    # the only pinch the walk meets before deciding all three
+    pinch: list[dict[int, int]] = [{} for _ in disk]
+    for a, b, c in dual.corners.values():
+        if a in pos and b in pos and c in pos:
+            a, b, c = sorted((pos[a], pos[b], pos[c]))
+            pinch[b][bit[a]] = pinch[b].get(bit[a], 0) | bit[c]
+    base = [2 - dual.degrees[f] // 2 for f in disk]
+    gain = [base[k] + sum(j > k for j in row) for k, row in enumerate(across)]
     chosen: list[int] = []  # indices into disk of the faces taken, increasing
-    marks: list[tuple[int, int, int]] = []  # (len(edges), level, rest) before each take
-    edges: list[int] = []
+    marks: list[tuple] = []  # the state before each take
+    taken = blocked = 0
     level = 0  # l(S) of the faces taken
-    rest = sum(max(0, gain[f]) for f in disk)  # over disk[i:]; level + rest is the bound
+    rest = sum(max(0, g) for g in gain)  # over the live faces; level + rest is the bound
     i = 0
     while True:
-        while i < len(disk):
+        while i < n:
             if floor is not None and level + rest <= floor():
                 break
-            f = disk[i]
-            blocked = False
-            for vid in by_face[f]:
-                count[vid] += 1
-                if count[vid] > 2:
-                    blocked = True
-            if blocked:
-                for vid in by_face[f]:
-                    count[vid] -= 1
-            else:
-                marks.append((len(edges), level, rest))
-                level += gain[f] - len(ahead[f])  # 2 - deg_D(f)/2 + e(f, S)
-                for e, g in incidence[f]:
-                    if taken[g]:
-                        edges.append(e)
-                for g in ahead[f]:
-                    rest += gain[g] >= 0
-                    gain[g] += 1
-                taken[f] = True
+            b = bit[i]
+            if not blocked & b:
+                marks.append((level, rest, taken, blocked, gain[:]))
+                level += base[i] + (nbr[i] & taken).bit_count()
+                taken |= b
+                if gain[i] > 0:
+                    rest -= gain[i]
+                new = 0
+                for a, faces in pinch[i].items():
+                    if taken & a:
+                        new |= faces
+                new &= ~blocked
+                blocked |= new
+                while new:
+                    x = ((new & -new).bit_length() - 1) // w
+                    new ^= bit[x]
+                    if gain[x] > 0:
+                        rest -= gain[x]
+                    for j in across[x]:
+                        if i < j < x and not blocked & bit[j]:
+                            rest -= gain[j] > 0
+                            gain[j] -= 1
+                for j in across[i]:
+                    if j > i and not blocked & bit[j]:
+                        rest += gain[j] >= 0
+                        gain[j] += 1
                 chosen.append(i)
-            if gain[f] > 0:
-                rest -= gain[f]
             i += 1
         else:
             if chosen and (floor is None or level > floor()):
-                yield RedGraph(dual, [disk[j] for j in chosen], sorted(edges))
+                edges = sorted(e for k in chosen for e, j in back[k] if taken & bit[j])
+                yield RedGraph(dual, [disk[k] for k in chosen], edges)
         if not chosen:
             return
         # back to the last face taken, and leave it out instead
         i = chosen.pop()
-        f = disk[i]
-        taken[f] = False
-        for g in ahead[f]:
-            gain[g] -= 1
-        n, level, rest = marks.pop()
-        del edges[n:]
-        for vid in by_face[f]:
-            count[vid] -= 1
-        if gain[f] > 0:
-            rest -= gain[f]
+        level, rest, taken, blocked, gain = marks.pop()
+        if gain[i] > 0:
+            rest -= gain[i]
         i += 1
 
 
@@ -539,11 +563,17 @@ def minimal_admissible_subgraph(red: RedGraph) -> RedGraph:
             f"{len(red.faces)} faces after shrinking; subset scan capped at "
             f"{MINIMAL_SCAN_FACE_LIMIT}"
         )
-    for size in range(1, len(red.faces)):
-        for combo in itertools.combinations(red.faces, size):
-            candidate = RedGraph(red.dual, combo)
-            if candidate.level >= 0 and find_fitting_orientation(candidate) is not None:
-                return candidate
+    faces = red.faces
+    bit, nbr = _face_masks(red.dual, faces)[3:]
+    twice = [4 - red.dual.degrees[f] for f in faces]  # 2(2 - deg_D/2)
+    for size in range(1, len(faces)):
+        for combo in itertools.combinations(range(len(faces)), size):
+            s = sum(bit[k] for k in combo)
+            # twice the index: sum(4 - deg_D(f)) + 2|E|
+            if sum(twice[k] + (nbr[k] & s).bit_count() for k in combo) >= 0:
+                candidate = RedGraph(red.dual, [faces[k] for k in combo])
+                if find_fitting_orientation(candidate) is not None:
+                    return candidate
     return red
 
 

@@ -5,14 +5,26 @@ independent test oracles.
 ran on an explicit stack.  Each red graph is built from its faces alone,
 so its red edges come from a scan of every dual edge, and its index is
 computed from the excesses ed(f) = deg_D(f) - 2 deg_G(f) rather than from
-the degree sum.  `find_exact_red_graph` is the exact-red-graph search
-used before the walk was bounded by the index: it scores every red graph.
+the degree sum.  `minimal_admissible_subgraph` is the subset scan used
+before the scan read indices off face bitmasks: it builds a red graph for
+every subset.  `find_exact_red_graph` is the exact-red-graph search used
+before the walk was bounded by the index: it scores every red graph, then
+shrinks the best one with that scan.
 """
 
 from __future__ import annotations
 
-from sl3web.errors import TheoremViolationError
-from sl3web.redgraph import RedGraph, dual_graph, is_admissible, minimal_admissible_subgraph
+import itertools
+
+from sl3web.errors import SizeGuardError, TheoremViolationError
+from sl3web.redgraph import (
+    MINIMAL_SCAN_FACE_LIMIT,
+    RedGraph,
+    _reach,
+    dual_graph,
+    find_fitting_orientation,
+    is_admissible,
+)
 from sl3web.web import _elliptic_face
 
 
@@ -52,6 +64,32 @@ def enumerate_red_graphs(dual):
 def level(red: RedGraph) -> int:
     """The index I(G) = 2|F| - |E| - (1/2) sum ed(f)."""
     return 2 * len(red.faces) - len(red.edges) - sum(red.ed(f) for f in red.faces) // 2
+
+
+def minimal_admissible_subgraph(red: RedGraph) -> RedGraph:
+    """A minimal admissible red graph inside an admissible one: shrinks
+    along out-reachable face sets, then builds every subset smallest-first
+    and returns the first one of index >= 0 with a fitting orientation."""
+    orientation = find_fitting_orientation(red)
+    if orientation is None:
+        raise ValueError("minimal_admissible_subgraph needs an admissible red graph")
+    while True:
+        smallest = min((_reach(red, orientation, f) for f in red.faces), key=len)
+        if len(smallest) == len(red.faces):
+            break
+        red = RedGraph(red.dual, smallest)
+        orientation = {i: d for i, d in orientation.items() if i in set(red.edges)}
+    if len(red.faces) > MINIMAL_SCAN_FACE_LIMIT:
+        raise SizeGuardError(
+            f"{len(red.faces)} faces after shrinking; subset scan capped at "
+            f"{MINIMAL_SCAN_FACE_LIMIT}"
+        )
+    for size in range(1, len(red.faces)):
+        for combo in itertools.combinations(red.faces, size):
+            candidate = RedGraph(red.dual, combo)
+            if candidate.level >= 0 and find_fitting_orientation(candidate) is not None:
+                return candidate
+    return red
 
 
 def find_exact_red_graph(web):

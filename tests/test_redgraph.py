@@ -6,6 +6,8 @@ import itertools
 import weakref
 import json
 import os
+from collections import Counter
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +21,7 @@ from sl3web.bracket import classify
 from sl3web.catalog import FLOWER_SIGNS, arc, cube, digon_arc, flower, theta, tripod
 from sl3web.errors import InvalidWebError, PairingError, StageMismatchError
 from sl3web.generate import canonical_form, generate_all_non_elliptic
+from sl3web.io import web_from_json
 from sl3web.redgraph import (
     RedGraph,
     _fit_heads,
@@ -44,6 +47,7 @@ from sl3web.redgraph import (
 )
 from sl3web.verify import _girth
 from sl3web.web import SINK, SOURCE, DartMap, Web, closure, is_admissible_sequence, make_web, validate
+from test_cli_fuzz import _mutant
 
 
 def flower_dual():
@@ -358,15 +362,44 @@ def test_minimal_admissible_subgraph_is_fixed_point_on_flower():
     assert is_exact(minimal)
 
 
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _bench_module(name: str):
+    """A module of the benchmark's directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pool_polyhexes() -> list[tuple[int, Web]]:
+    """(size, web) for every polyhex web of the benchmark's shape pool."""
+    polyhex = _bench_module("polyhex")
+    with open(os.path.join(BENCH, "data", "polyhex.json")) as f:
+        shapes = json.load(f)["shapes"]
+    return [(s["size"], polyhex.polyhex_web([tuple(h) for h in s["patch"]])) for s in shapes]
+
+
 def _pool_polyhex(size: int) -> Web:
     """The polyhex web of `size` hexagons from the benchmark's shape pool."""
-    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-    spec = importlib.util.spec_from_file_location("polyhex", os.path.join(bench, "polyhex.py"))
-    polyhex = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(polyhex)
-    with open(os.path.join(bench, "data", "polyhex.json")) as f:
-        (shape,) = [s for s in json.load(f)["shapes"] if s["size"] == size]
-    return polyhex.polyhex_web([tuple(h) for h in shape["patch"]])
+    (web,) = [web for n, web in _pool_polyhexes() if n == size]
+    return web
+
+
+def _flower_boundary_webs() -> list[Web]:
+    return generate_all_non_elliptic(FLOWER_SIGNS)
+
+
+def _pool_webs_of_8_hexagons() -> list[Web]:
+    return [web for size, web in _pool_polyhexes() if size == 8]
+
+
+def _parallel_mutants() -> list[Web]:
+    """Two catalog mutants of the command-line fuzz test in which two disk
+    faces share two edges: the cube with two edge heads swapped (8
+    vertices, 25 red graphs) and a flower mutant (81 red graphs)."""
+    return [web_from_json(_mutant(931)), web_from_json(_mutant(251))]
 
 
 def test_negative_index_red_graphs_never_fit():
@@ -396,6 +429,53 @@ def test_minimal_subgraph_scan_solves_only_nonnegative_indices(monkeypatch, size
     exact = find_exact_red_graph(web)
     assert exact.level == 0 and len(exact.faces) == 6
     assert solved == [0, 0]  # the walk's admissibility test, then the scan's start
+
+
+def test_minimal_subgraph_matches_the_oracle_scan():
+    # every admissible red graph of the flower-boundary webs, the polyhex
+    # webs of 8 hexagons, the mutants with parallel dual edges and a
+    # flower mutant on which the subset scan shrinks a 6-face red graph
+    # of index 1 to a square face
+    webs = _flower_boundary_webs() + _pool_webs_of_8_hexagons() + _parallel_mutants()
+    compared = 0
+    for web in webs + [web_from_json(_mutant(1309))]:
+        for red in enumerate_red_graphs(web):
+            if is_admissible(red):
+                got = minimal_admissible_subgraph(red)
+                want = redgraph_oracle.minimal_admissible_subgraph(red)
+                assert (got.faces, got.edges) == (want.faces, want.edges)
+                compared += 1
+    assert compared == 84
+
+
+def test_minimal_subgraph_scan_solves_the_oracles_subsets(monkeypatch):
+    """With every subset refused, the scan solves the subsets of index
+    >= 0 that the oracle's scan solves, in the same order."""
+    solve = find_fitting_orientation
+    solved: list = []
+
+    def refuse_subsets(red):
+        # the scan's starting red graph is solved; each subset is refused
+        if not solved:
+            solved.append(None)
+            return solve(red)
+        solved.append(red.faces)
+        return None
+
+    for module in (sl3web.redgraph, redgraph_oracle):
+        monkeypatch.setattr(module, "find_fitting_orientation", refuse_subsets)
+    with_edges = 0
+    for red in enumerate_red_graphs(web_from_json(_mutant(1309))):
+        if solve(red) is None:
+            continue
+        runs = []
+        for scan in (minimal_admissible_subgraph, redgraph_oracle.minimal_admissible_subgraph):
+            solved.clear()
+            scan(red)
+            runs.append(solved[1:])
+        assert runs[0] == runs[1]
+        with_edges += sum(RedGraph(red.dual, faces).edges != () for faces in runs[0])
+    assert with_edges > 0
 
 
 def test_find_exact_red_graph():
@@ -444,13 +524,81 @@ def test_bounded_search_matches_full_scan_oracle():
     assert found == 5
 
 
-def test_index_bound_is_sound_at_every_walk_node():
-    """At every node of the walk, the bound level + rest is at least the
-    largest index of a red graph below the node, found by trying every
-    set of remaining faces.  A floor below every index keeps the walk
-    from skipping any node."""
+def test_bounded_search_matches_full_scan_oracle_on_polyhex_webs():
+    # every pool shape cut at 3 seeded legs with fresh labels, as the
+    # benchmark draws them, so the disk faces come in other orders
+    canon = _bench_module("canon")
+    rng = Random(19)
+    found = 0
+    for _size, base in _pool_polyhexes():
+        for _ in range(3):
+            web = canon.relabel(canon.rotate(base, rng.randrange(len(base.boundary))), rng)
+            got = _search_outcome(find_exact_red_graph, web)
+            assert got == _search_outcome(redgraph_oracle.find_exact_red_graph, web)
+            found += got is not None
+    # the first 8-hexagon shape and the 9-hexagon one have no exact red graph
+    assert found == 15
+
+
+def _searched(reds) -> list:
+    """(faces, edges) of the red graphs in `reds` that beat the floor of
+    find_exact_red_graph: -1, then the index of the last admissible one."""
+    best = None
+    out = []
+    for red in reds:
+        if red.level > (-1 if best is None else best.level):
+            out.append((red.faces, red.edges))
+            if is_admissible(red):
+                best = red
+    return out
+
+
+@pytest.mark.parametrize("index, count", [(0, 25), (1, 81)])
+def test_walk_matches_the_oracle_across_parallel_dual_edges(index, count):
+    dual = dual_graph(_parallel_mutants()[index])
+    disk = set(dual.disk_faces())
+    shared = Counter(tuple(sorted(pair)) for pair in dual.sides if disk.issuperset(pair))
+    assert max(shared.values()) == 2
+    oracle = list(redgraph_oracle.enumerate_red_graphs(dual))
+    assert len(oracle) == count
+    assert [(r.faces, r.edges) for r in _walk_red_graphs(dual)] == [
+        (r.faces, r.edges) for r in oracle
+    ]
+    best = None
+    walked = []
+    for red in _walk_red_graphs(dual, lambda: -1 if best is None else best.level):
+        walked.append((red.faces, red.edges))
+        if is_admissible(red):
+            best = red
+    assert walked == _searched(oracle)
+
+
+def test_walk_floor_reads_on_the_largest_pool_web():
+    # the bound without blocked faces read the floor 2,515 times here
+    dual = dual_graph(_pool_polyhex(14))
+    best = None
+    reads = 0
+
+    def floor():
+        nonlocal reads
+        reads += 1
+        return -1 if best is None else best.level
+
+    for red in _walk_red_graphs(dual, floor):
+        if is_admissible(red):
+            best = red
+    assert best.level == 0
+    assert reads == 1854
+
+
+def _bound_checked_nodes(webs) -> int:
+    """Walk every red graph of each web with a floor that checks, at each
+    node, that the bound level + rest is at least the largest index of a
+    red graph below the node, found by trying every set of remaining
+    faces; the floor, below every index, keeps the walk from skipping
+    any node.  Returns the number of nodes checked."""
     nodes = 0
-    for web in generate_all_non_elliptic(FLOWER_SIGNS):
+    for web in webs:
         dual = dual_graph(web)
 
         def floor():
@@ -473,7 +621,16 @@ def test_index_bound_is_sound_at_every_walk_node():
         assert [(r.faces, r.edges) for r in walk] == [
             (r.faces, r.edges) for r in redgraph_oracle.enumerate_red_graphs(dual)
         ]
-    assert nodes > 400
+    return nodes
+
+
+def test_index_bound_is_sound_at_every_walk_node():
+    assert _bound_checked_nodes(_flower_boundary_webs()) > 400
+
+
+def test_index_bound_is_sound_on_polyhex_webs_and_parallel_dual_edges():
+    assert _bound_checked_nodes(_pool_webs_of_8_hexagons()) > 150
+    assert _bound_checked_nodes(_parallel_mutants()) > 30
 
 
 def test_bounded_search_builds_fewer_red_graphs(monkeypatch):
