@@ -15,12 +15,13 @@ elimination as a DAG over flat integer arrays: half-edges are numbered
 in label order, so the least (length, smallest half-edge) picks the
 faces the labels would, and each map met at a square is evaluated once,
 memoised by its partner array's bytes.  hom_poly numbers its closure
-breadth-first from the seam instead: its webs' labels are arbitrary,
-and the narrow elimination front meets 2-5 times fewer maps on polyhex
-self-pairings.  bracket, its seeded orders and split_elliptic keep
-label order.  After one face walk at the root, a heap of digon and
-square faces is updated only next to each splice.
-A seeded order draws from the live faces on that heap instead of taking
+breadth-first from the seam strand whose vertex has the narrowest
+layers in w2 instead, as Cuthill-McKee orderings do: labels and the
+boundary cut are arbitrary, and the narrow front meets 2-5 times fewer
+maps on polyhex self-pairings.  bracket, its seeded orders and
+split_elliptic keep label order.  After one face walk at the root, a
+heap of digon and square faces is updated only next to each splice.  A
+seeded order draws from the live faces on that heap instead of taking
 the least.  A simple face (distinct corners, no edge from spoke to
 spoke) splices without the strand walk, which may close circles.  The
 walk refuses to expand more than MAX_SQUARE_BRANCHINGS squares.
@@ -110,8 +111,8 @@ def _seam_arrays(glued: DartMap, seam):
     the seam (see web._glued): each seam half-edge not numbered yet
     numbers its vertex counterclockwise from itself, and so in turn does
     the partner of every half-edge numbered.  What the seam does not
-    reach follows in label order.  Only the boundary order fixes this
-    numbering, and it keeps the elimination front narrow."""
+    reach follows in label order.  Only the seam's order (see
+    _narrowest_seam) fixes this numbering; it keeps the front narrow."""
     partner, succ = glued.partner, glued.succ
     index: dict[int, int] = {}
     for x in seam:
@@ -126,12 +127,42 @@ def _seam_arrays(glued: DartMap, seam):
             index.setdefault(h, len(index))
     number = index.__getitem__  # index runs in number order
     corner = [()] * len(index)
-    for rot in glued.rot.values():
-        rot = tuple(map(number, rot))
-        for h in rot:
-            corner[h] = rot
+    for rot in glued.rot.values():  # trivalent, as validated
+        a, b, c = rot = tuple(map(number, rot))
+        corner[a] = corner[b] = corner[c] = rot
     partners = array(_typecode(len(index)), map(number, map(partner.__getitem__, index)))
     return list(map(number, map(succ.__getitem__, index))), corner, partners, index
+
+
+def _narrowest_seam(w2: Web, seam) -> list[int]:
+    """The seam rotated to start at the strand whose vertex has the
+    narrowest breadth-first layers in w2: closure layer i counts w2's
+    layers i and i-1 (standing in for the mirror), and the least (widest
+    layer, sum of squared layers, position) wins."""
+    number = {h: i for i, (_v, _k, rot) in enumerate(w2.vertices) for h in rot}
+    near: list[list[int]] = [[] for _ in w2.vertices]
+    for a, b in [(number[t], number[h]) for t, h in w2.edges if t in number and h in number]:
+        near[a].append(b)
+        near[b].append(a)
+    best = (len(near) + 1, 0, 0)  # wider than any layer
+    for v, k in {number[x]: k for k, x in reversed(list(enumerate(seam)))}.items():  # first positions
+        found = bytearray(len(near))
+        found[v], layer, last, widest, squares = 1, [v], 0, 0, 0
+        while layer and (widest, squares, -1) < best:  # it may still win; -1 sorts first
+            width = len(layer) + last
+            if width > widest:
+                widest = width
+            squares, last = squares + width * width, len(layer)
+            ahead = []
+            for u in layer:
+                for w in near[u]:
+                    if not found[w]:
+                        found[w] = 1
+                        ahead.append(w)
+            layer = ahead
+        if not layer:  # the mirror's last layer alone ends the closure's layers
+            best = min(best, (widest, squares + last * last, k))
+    return seam[best[2] :] + seam[: best[2]]
 
 
 def _small_faces(succ, partner) -> list[int]:
@@ -169,16 +200,21 @@ def _next_face(succ, partner, heap: list, rng: Random | None = None) -> list[int
     none.  Entries whose face is gone or changed length are dropped; a
     face whose smallest half-edge changed has an entry of its own at
     the new one, which comes up first."""
-    if rng is not None:
-        live = {}
-        for entry in heap:
-            square, h = divmod(entry, len(succ))
-            walk = _face(succ, partner, h)
-            if walk is not None and len(walk) == 2 + 2 * square and min(walk) == h:
-                live[entry] = walk
-        heap[:] = sorted(live)
-        return live[rng.choice(heap)] if heap else None
     n = len(succ)
+    if rng is not None:
+        live = set()
+        for entry in heap:
+            # _face's rule inline, and h the face's smallest half-edge
+            square, h = divmod(entry, n)
+            if partner[h] >= 0:
+                x = succ[partner[h]]
+                if (y := succ[partner[x]]) == h:
+                    if not square and h < x:
+                        live.add(entry)
+                elif square and (z := succ[partner[y]]) != h and succ[partner[z]] == h and h < min(x, y, z):
+                    live.add(entry)
+        heap[:] = sorted(live)
+        return _face(succ, partner, rng.choice(heap) % n) if heap else None
     while heap:
         # _face's rule, walked without building a list per stale entry
         square, h = divmod(heap[0], n)
@@ -199,20 +235,24 @@ def _splice_face(succ, corner, partner, heap: list, walk, turn: int) -> int:
     takes turn 0, a square's two smoothings 0 and 1).  Push the digon
     and square faces it leaves and return the circles it closes.  Every
     face the splice changes runs through a surviving far end of a spoke.
-    A simple face (walk, spokes and far ends all distinct) only joins
-    its far ends in pairs; other faces take _splice_strands."""
-    spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
-    far = [partner[s] for s in spokes]
-    if len({*walk, *spokes, *far}) < 3 * len(walk):
-        circles = _splice_strands(corner, partner, walk, spokes, far)
+    A simple face (walk, spokes and far ends all distinct) deletes its
+    corners' half-edges (the walk, its partners and its spokes) and joins
+    its far ends in pairs, a digon with no lists; others take _splice_strands."""
+    if len(walk) == 2:
+        h, x = walk
+        spokes = s, t = succ[h], succ[x]
+        far = p, q = partner[s], partner[t]
+        if simple := len({h, x, s, t, p, q}) == 6:
+            partner[partner[h]] = partner[partner[x]] = partner[h] = partner[x] = partner[s] = partner[t] = -1
+            partner[p], partner[q] = q, p
     else:
-        circles = 0
-        for d in walk:
-            # the corners' half-edges: each walk half-edge, its partner, its spoke
-            partner[partner[d]] = partner[d] = partner[succ[d]] = -1
-        partner[far[0]], partner[far[1]] = far[1], far[0]
-        if len(far) == 4:
-            partner[far[2]], partner[far[3]] = far[3], far[2]
+        spokes = [succ[d] for d in walk[turn:] + walk[:turn]]
+        far = [partner[s] for s in spokes]
+        if simple := len({*walk, *spokes, *far}) == 12:
+            for d in walk:
+                partner[partner[d]] = partner[d] = partner[succ[d]] = -1
+            partner[far[0]], partner[far[1]], partner[far[2]], partner[far[3]] = far[1], far[0], far[3], far[2]
+    circles = 0 if simple else _splice_strands(corner, partner, walk, spokes, far)
     for p in far:
         # push the live face through p, by _face's rule without its list
         if partner[p] < 0:
@@ -329,10 +369,9 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
 
 def _evaluate(web: Web | DartMap, rng: Random | None = None, arrays=None) -> LaurentPoly:
     """The bracket of a closed web (or glued map) already known to be valid."""
-    value = LaurentPoly.zero()
-    for (digons, circles, _leaf), count in _dag_leaves(web, rng, arrays).items():
-        value = value + _multiplier(digons, circles) * count
-    return value
+    leaves = _dag_leaves(web, rng, arrays).items()
+    terms = ((e, a * n) for (digons, circles, _leaf), n in leaves for e, a in _multiplier(digons, circles).items())
+    return LaurentPoly(terms)  # adds up the terms of each exponent
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +456,9 @@ def boundary_weight(signs) -> int:
 
 def hom_poly(w1: Web, w2: Web) -> LaurentPoly:
     """Bracket of the closure of w1's mirror against w2, numbered from the
-    seam (_seam_arrays): labels are arbitrary, and this keeps the DAG small."""
+    seam (_seam_arrays) at the strand w2's shape picks (_narrowest_seam)."""
     glued, seam = _glued(w1, w2)
-    return _evaluate(glued, arrays=_seam_arrays(glued, seam))
+    return _evaluate(glued, arrays=_seam_arrays(glued, _narrowest_seam(w2, seam)))
 
 
 def hom_graded_dimension(w1: Web, w2: Web) -> LaurentPoly:

@@ -51,7 +51,7 @@ class LaurentPoly:
 
     def items(self) -> list[tuple[int, int]]:
         """Terms as (exponent, coefficient), highest exponent first."""
-        return sorted(self._c.items(), key=lambda t: -t[0])
+        return sorted(self._c.items(), reverse=True)  # exponents are distinct
 
     def coefficient(self, exponent: int) -> int:
         return self._c.get(exponent, 0)

@@ -1,9 +1,10 @@
-"""tools/bench_pair.py: quartiles and the paired summary it writes into
-BENCH_<pr>.json, on synthetic run records."""
+"""tools/bench_pair.py: quartiles, the paired summary it writes into
+BENCH_<pr>.json and the seeds its pairs run on, on synthetic run records."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -95,3 +96,35 @@ def test_peak_rss_carries_each_sides_median_attempted():
     assert entry["peak_rss_mb"]["attempted"] == {"base": 110, "change": 140}
     assert entry["peak_rss_mb"]["change"]["median"] == 44.0
     assert "attempted" not in entry["items_per_s"]
+
+
+def test_first_seed_numbers_the_pairs_and_is_recorded(monkeypatch, tmp_path):
+    bench = {
+        "command": ["true"],
+        "run_seconds": 1,
+        "end_to_end": [{"name": "items_per_s", "better": "higher"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def run_once(command, tree, workload, seed, seconds):
+        calls.append((workload, seed, tree))
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"items_per_s": 1.0}}
+
+    monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pair, "revision", lambda rev: f"sha-of-{rev}")
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: (f"sha-of-{rev}", "base-tree"))
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+
+    assert bench_pair.parse_args(["--pr", "x"]).first_seed == bench_pair.FIRST_SEED == 6001
+    bench_pair.main(["--pr", "t", "--pairs", "w=3", "--first-seed", "77"])
+    # one run per side and pair, alternating which side goes first
+    assert calls == [
+        ("w", 77, "base-tree"), ("w", 77, str(tmp_path)),
+        ("w", 78, str(tmp_path)), ("w", 78, "base-tree"),
+        ("w", 79, "base-tree"), ("w", 79, str(tmp_path)),
+    ]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["first_seed"] == 77
+    assert [r["seed"] for r in out["runs"]] == [77, 77, 78, 78, 79, 79]
+    assert out["base"] == "sha-of-HEAD" and out["change"] == "working tree on sha-of-HEAD"

@@ -60,6 +60,7 @@ from sl3web.web import (
     is_admissible_sequence,
     make_web,
 )
+from test_redgraph import _pool_polyhexes
 
 Q2 = quantum_integer(2)
 Q3 = quantum_integer(3)
@@ -715,6 +716,55 @@ def test_hom_poly_work_is_pinned(monkeypatch):
     # the flower's self-pairing numbered from the seam; label order
     # branches 377 times (test_dag_work_is_pinned)
     assert _branchings(monkeypatch, flower(), flower()) == 197
+
+
+def _rotated(web: Web, k: int) -> Web:
+    """The web with its boundary cut k points further along."""
+    return make_web(web.boundary[k:] + web.boundary[:k], web.vertices, web.edges, web.circles)
+
+
+def test_hom_poly_work_is_the_same_at_every_cut(monkeypatch):
+    # the small pool shapes: the start strand follows the web, not the cut
+    # or the labels, so every cut and labelling branches equally often
+    rng = Random(20)
+    small = [web for size, web in _pool_polyhexes() if size in (8, 9)]
+    for web, pinned in zip(small, (269, 254, 167)):
+        want = bracket_module._evaluate(closure(web, web))
+        labels = sorted({x for e in web.edges for x in e})
+        for k in range(len(web.boundary)):
+            cut = _renamed(_rotated(web, k), dict(zip(labels, rng.sample(labels, len(labels)))).__getitem__)
+            assert hom_poly(cut, cut) == want
+            assert _branchings(monkeypatch, cut, cut) == pinned
+
+
+def _front(web: Web, x: int) -> tuple[int, int]:
+    """(widest layer, sum of squared layers) of the closure's layers from
+    the vertex of x, by a plain search of every vertex's distance: layer
+    i counts the web's vertices at distance i and at distance i - 1."""
+    vertex_of = {h: vid for vid, _k, rot in web.vertices for h in rot}
+    near = {vid: [] for vid, _k, _r in web.vertices}
+    for t, h in web.edges:
+        if t in vertex_of and h in vertex_of:
+            near[vertex_of[t]].append(vertex_of[h])
+            near[vertex_of[h]].append(vertex_of[t])
+    queue = [vertex_of[x]]
+    distance = {queue[0]: 0}
+    for v in queue:  # grows as the search reaches vertices
+        for u in near[v]:
+            if u not in distance:
+                distance[u] = distance[v] + 1
+                queue.append(u)
+    sizes = Counter(distance.values())
+    layers = [sizes[i] + sizes[i - 1] for i in range(max(sizes) + 2)]
+    return max(layers), sum(c * c for c in layers)
+
+
+def test_the_seam_starts_at_the_least_score():
+    webs = [*generate_all_non_elliptic(FLOWER_SIGNS), *(web for _size, web in _pool_polyhexes())]
+    for web in webs:
+        _map, seam = web_module._glued(web, web)
+        k = min(range(len(seam)), key=lambda k: (*_front(web, seam[k]), k), default=0)
+        assert bracket_module._narrowest_seam(web, seam) == seam[k:] + seam[:k]
 
 
 # -- classification ---------------------------------------------------------------

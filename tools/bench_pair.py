@@ -1,15 +1,18 @@
 """Paired benchmark runs: a base commit against the working tree.
 
     python3 tools/bench_pair.py --pr 6 --base HEAD \
-        [--pairs polyhex=10,gen=5,sweep=7,cli=7] [--workdir DIR]
+        [--pairs polyhex=10,gen=5,sweep=7,cli=7] [--first-seed 6001] [--workdir DIR]
 
 Run from the repository root.  The base commit is exported with
 `git archive` into a temporary directory (under --workdir when given),
 so the repository and its .git are left as they are.  For every pair
 the benchmark command of BENCHMARK.json runs once in each tree on the
 same seed, alternating which tree goes first, and the result lines are
-collected into BENCH_<pr>.json at the repository root.  Pair i of every
-workload uses seed FIRST_SEED + i; the run length is BENCHMARK.json's.
+collected into BENCH_<pr>.json at the repository root.  The pairs of
+every workload run on seeds --first-seed, --first-seed + 1, ... (6001
+by default; the file records it), so a claim can be measured on seeds
+kept apart from the ones looked at while the change was written.  The
+run length is BENCHMARK.json's.
 The default pairs are 10 for polyhex, 5 for gen and 7 for sweep and
 cli.  On two shared cores, 5 pairs let one noisy stretch reach a
 bound: a 5-pair run once read cli op_p50_ms 24 % worse (the bound is
@@ -53,16 +56,24 @@ def parse_args(argv):
         default="polyhex=10,gen=5,sweep=7,cli=7",
         help="comma-separated workload=pairs",
     )
+    p.add_argument(
+        "--first-seed", type=int, default=FIRST_SEED, help="seed of pair 1; pair i uses it + i - 1"
+    )
     p.add_argument("--workdir", default=None, help="directory for the exported base tree")
     return p.parse_args(argv)
 
 
-def export(rev: str, dest: str) -> tuple[str, str]:
-    """Write the files of `rev` under dest; return its full hash and the tree."""
-    sha = subprocess.run(
+def revision(rev: str) -> str:
+    """The full hash of the commit `rev` names."""
+    return subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
+
+
+def export(rev: str, dest: str) -> tuple[str, str]:
+    """Write the files of `rev` under dest; return its full hash and the tree."""
+    sha = revision(rev)
     archive = os.path.join(dest, "base.tar")
     subprocess.run(["git", "archive", "--output", archive, sha], cwd=ROOT, check=True)
     tree = os.path.join(dest, "base")
@@ -165,7 +176,7 @@ def main(argv=None) -> int:
         trees = {"base": base_tree, "change": ROOT}
         for workload, count in plan:
             for i in range(count):
-                seed = FIRST_SEED + i
+                seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for position, side in enumerate(order):
                     t0 = time.monotonic()
@@ -182,14 +193,12 @@ def main(argv=None) -> int:
                         flush=True,
                     )
 
-    head = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
     out = {
         "base": sha,
-        "change": f"working tree on {head}",
+        "change": f"working tree on {revision('HEAD')}",
         "command": bench["command"],
         "seconds": seconds,
+        "first_seed": args.first_seed,
         "python": sys.version.split()[0],
         "cpus": os.cpu_count(),
         "runs": runs,
