@@ -11,15 +11,16 @@ each leaf of the elimination contributes [2]^digons [3]^circles.
 
 The square relation branches, and different branches often converge on
 the same map.  One routine, _dag_leaves, therefore walks every
-elimination as a DAG over flat integer arrays: half-edges are numbered
+elimination as a DAG over flat integer arrays, and each map met at a
+square is evaluated once, memoised by its partner array's bytes.  One
+builder, _arrays, numbers a validated DartMap's half-edges: bracket, its
+seeded orders and split_elliptic number the map that validation built
 in label order, so the least (length, smallest half-edge) picks the
-faces the labels would, and each map met at a square is evaluated once,
-memoised by its partner array's bytes.  hom_poly numbers its closure
+faces the labels would.  hom_poly numbers its glued closure
 breadth-first from the seam strand whose vertex has the narrowest
 layers in w2 instead, as Cuthill-McKee orderings do: labels and the
 boundary cut are arbitrary, and the narrow front meets 2-5 times fewer
-maps on polyhex self-pairings.  bracket, its seeded orders and
-split_elliptic keep label order.  After one face walk at the root, a
+maps on polyhex self-pairings.  After one face walk at the root, a
 heap of digon and square faces is updated only next to each splice.  A
 seeded order draws from the live faces on that heap instead of taking
 the least.  A simple face (distinct corners, no edge from spoke to
@@ -79,41 +80,22 @@ def _count_branching(branchings: int) -> int:
 _NARROW_HALF_EDGES = 1 << 15
 
 
-def _typecode(half_edges: int) -> str:
-    return "h" if half_edges < _NARROW_HALF_EDGES else "i"
-
-
-def _dart_arrays(web: Web):
-    """A web over its half-edges numbered 0..H-1 in label order: rotation
+def _arrays(m: DartMap, seam=()):
+    """A validated map over its half-edges numbered 0..H-1: rotation
     successors, each half-edge's vertex rotation (none at the border),
     the partner array, where -1 marks a deleted half-edge, and the
-    number of each label, keyed in label order.  A web with boundary gets
-    one more half-edge, H: its own partner, and the successor of itself
-    and of every boundary half-edge, so a face walk that reaches the
-    border stays at H and never closes."""
-    index = {h: i for i, h in enumerate(sorted(x for e in web.edges for x in e))}
-    n = len(index) + bool(web.boundary)
-    succ, corner = [n - 1] * n, [()] * n
-    for _vid, _kind, rot in web.vertices:
-        rot = tuple(index[h] for h in rot)
-        for i, h in enumerate(rot):
-            succ[h], corner[h] = rot[i + 1 - len(rot)], rot
-    partner = array(_typecode(n), [-1]) * n
-    for t, h in web.edges:
-        partner[index[t]], partner[index[h]] = index[h], index[t]
-    if web.boundary:
-        partner[-1] = n - 1
-    return succ, corner, partner, index
+    number of each label, keyed in number order.
 
-
-def _seam_arrays(glued: DartMap, seam):
-    """_dart_arrays of a closure's glued map, numbered breadth-first from
-    the seam (see web._glued): each seam half-edge not numbered yet
-    numbers its vertex counterclockwise from itself, and so in turn does
-    the partner of every half-edge numbered.  What the seam does not
-    reach follows in label order.  Only the seam's order (see
-    _narrowest_seam) fixes this numbering; it keeps the front narrow."""
-    partner, succ = glued.partner, glued.succ
+    The seam's strands (see web._glued) come first, breadth-first: each
+    seam half-edge not numbered yet numbers its vertex counterclockwise
+    from itself, and so in turn does the partner of every half-edge
+    numbered.  Only the seam's order (see _narrowest_seam) fixes this
+    part; it keeps the front narrow.  The rest follow in label order, so
+    with no seam the numbers are the label order.  A map with boundary
+    gets one more half-edge, H: its own partner, and the successor of
+    itself and of every boundary half-edge, so a face walk that reaches
+    the border stays at H and never closes."""
+    partner, succ = m.partner, m.succ
     index: dict[int, int] = {}
     for x in seam:
         queue = [x]
@@ -126,12 +108,16 @@ def _seam_arrays(glued: DartMap, seam):
         for h in sorted(partner):
             index.setdefault(h, len(index))
     number = index.__getitem__  # index runs in number order
-    corner = [()] * len(index)
-    for rot in glued.rot.values():  # trivalent, as validated
+    n = len(index) + bool(m.boundary)
+    succs, corner = [n - 1] * n, [()] * n
+    for rot in m.rot.values():  # trivalent, as validated
         a, b, c = rot = tuple(map(number, rot))
         corner[a] = corner[b] = corner[c] = rot
-    partners = array(_typecode(len(index)), map(number, map(partner.__getitem__, index)))
-    return list(map(number, map(succ.__getitem__, index))), corner, partners, index
+        succs[a], succs[b], succs[c] = b, c, a
+    partners = array("h" if n < _NARROW_HALF_EDGES else "i", map(number, map(partner.__getitem__, index)))
+    if m.boundary:
+        partners.append(n - 1)
+    return succs, corner, partners, index
 
 
 def _narrowest_seam(w2: Web, seam) -> list[int]:
@@ -296,11 +282,12 @@ def _dag_leaves(web: Web | DartMap, rng: Random | None = None, arrays=None) -> C
     web's digon and square faces, in the default order or one drawn
     from rng, with every map met at a square evaluated once.  A leaf is
     its partner array's bytes, or b"" when no half-edge is left; a
-    closed web must leave none.  `arrays` are the web's _dart_arrays,
-    or a glued map's _seam_arrays, when the caller has them already; the
-    walk splices their partner array in place.
+    closed web must leave none.  `arrays` are the map's _arrays, when
+    the caller has them already (hom_poly's are numbered from the seam);
+    else a web is numbered in label order.  The walk splices their
+    partner array in place.
 
-    A node owns only its partner array (see _dart_arrays) and its heap
+    A node owns only its partner array (see _arrays) and its heap
     of digon and square faces, kept up to date by _splice_face after
     the one face walk at the root.  Counts are relative to their node,
     so the memo key, the partner array's bytes, leaves circles out.  The
@@ -308,7 +295,7 @@ def _dag_leaves(web: Web | DartMap, rng: Random | None = None, arrays=None) -> C
     the node, counts, spliced children yet to settle), depth first as
     the tree walks; the root's frame has key None.
     """
-    succ, corner, partner, _index = arrays or _dart_arrays(web)
+    succ, corner, partner, _index = arrays or _arrays(web if isinstance(web, DartMap) else DartMap(web))
     memo: dict[bytes, Counter] = {}
     branchings = 0
 
@@ -359,12 +346,12 @@ def bracket(web: Web, rng: Random | None = None) -> LaurentPoly:
     Passing a seeded random.Random picks the elliptic face to eliminate
     at random at every step; the value does not depend on the order.
     """
+    m = require_valid(web)
     if web.boundary:
         raise BoundaryMismatchError(
             "the bracket evaluates closed webs; this one has boundary points"
         )
-    require_valid(web)
-    return _evaluate(web, rng)
+    return _evaluate(m, rng)
 
 
 def _evaluate(web: Web | DartMap, rng: Random | None = None, arrays=None) -> LaurentPoly:
@@ -416,18 +403,17 @@ def split_elliptic(web: Web) -> list[tuple[Web, int]]:
     shifts recovers the bracket.  Pieces keep the web's labels.  More
     than MAX_SUMMANDS summands raise SizeGuardError before any is listed.
     """
-    require_valid(web)
-    return _split_elliptic(web)
+    return _split_elliptic(web, require_valid(web))
 
 
-def _split_elliptic(web: Web) -> list[tuple[Web, int]]:
-    """split_elliptic of a web already known to be valid."""
-    arrays = _dart_arrays(web)
+def _split_elliptic(web: Web, m: DartMap) -> list[tuple[Web, int]]:
+    """split_elliptic of a web already known to be valid, and its map."""
+    arrays = _arrays(m)
     typecode, index = arrays[2].typecode, arrays[3]
     labels = list(index)
     pieces = {b"": make_web()}
     out: list[tuple[Web, int]] = []
-    leaves = _dag_leaves(web, arrays=arrays)
+    leaves = _dag_leaves(m, arrays=arrays)
     summands = sum(count * 2**digons * 3**circles for (digons, circles, _leaf), count in leaves.items())
     if summands > MAX_SUMMANDS:
         raise SizeGuardError(f"{summands} summands; split_elliptic is capped at {MAX_SUMMANDS}")
@@ -455,10 +441,11 @@ def boundary_weight(signs) -> int:
 
 
 def hom_poly(w1: Web, w2: Web) -> LaurentPoly:
-    """Bracket of the closure of w1's mirror against w2, numbered from the
-    seam (_seam_arrays) at the strand w2's shape picks (_narrowest_seam)."""
+    """Bracket of the closure of w1's mirror against w2, its glued map
+    numbered from the seam (_arrays) at the strand w2's shape picks
+    (_narrowest_seam)."""
     glued, seam = _glued(w1, w2)
-    return _evaluate(glued, arrays=_seam_arrays(glued, _narrowest_seam(w2, seam)))
+    return _evaluate(glued, arrays=_arrays(glued, _narrowest_seam(w2, seam)))
 
 
 def hom_graded_dimension(w1: Web, w2: Web) -> LaurentPoly:

@@ -254,10 +254,12 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     from .io import dual_dot, dumps_web, load_web, web_dot
+    from .web import require_valid
 
     if args.kind == "web" and args.faces is not None:
         raise InvalidWebError("--faces overlays a red graph on the dual; it needs --kind dual")
     web = load_web(args.file)
+    require_valid(web)
     if args.kind == "web":
         text = web_dot(web) if args.dot else dumps_web(web)
     else:

@@ -176,7 +176,7 @@ def dual_dot(web: Web, red=None) -> str:
     selected = set(red.faces) if red is not None else set()
     red_edges = set(red.edges) if red is not None else set()
     lines = ["graph dual {"]
-    for region in dual.table.regions:
+    for region in dual.regions:
         rid = region.id
         label = str(rid)
         attrs = [f"label={_quote(label)}"]

@@ -38,52 +38,16 @@ from .errors import (
 from .web import DartMap, RegionTable, Web, _components, _elliptic_face, region_table, require_valid
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """The dual graph of a web: one node per region (border regions and
-    the unbounded one included), one edge per web edge between the
-    regions on its two sides."""
-
-    web: Web
-    table: RegionTable
-    sides: tuple[tuple[int, int], ...]  # per web edge: (right region, left region)
-    corners: dict[int, tuple[int, int, int]]  # vertex id -> its corner regions
-    degrees: tuple[int, ...]  # per region: web edge sides on its boundary
-
-    def degree(self, region_id: int) -> int:
-        return self.degrees[region_id]
-
-    def disk_faces(self) -> list[int]:
-        return [r.id for r in self.table.regions if r.is_disk]
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per region: (edge index, region on the other side) for every
-        web edge on its boundary, in edge order."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in self.degrees]
-        for i, (a, b) in enumerate(self.sides):
-            inc[a].append((i, b))
-            inc[b].append((i, a))
-        return tuple(map(tuple, inc))
-
-    @property
-    def darts(self) -> DartMap:
-        """The web's validated dart map, shared by every red graph of this
-        dual graph; read it, never splice it."""
-        return self.table.darts
-
-
-def dual_graph(web: Web) -> DualGraph:
-    table = region_table(web)
-    corners = {vid: tuple(table.region_of[h] for h in rot) for vid, _k, rot in web.vertices}
-    return DualGraph(web, table, table.sides, corners, tuple(r.side_count for r in table.regions))
+def dual_graph(web: Web) -> RegionTable:
+    """The web's dual graph, which is its region table."""
+    return region_table(web)
 
 
 class RedGraph:
     """An induced subgraph of the dual graph on a set of disk faces;
     `edges`, when given, are the dual edges between them, ascending."""
 
-    def __init__(self, dual: DualGraph, faces, edges=None):
+    def __init__(self, dual: RegionTable, faces, edges=None):
         self.dual = dual
         self.faces = tuple(sorted(set(faces)))
         if edges is None:
@@ -133,7 +97,7 @@ class RedGraph:
         return sorted(map(tuple, groups.values()))
 
 
-def corner_selection_ok(dual: DualGraph, faces) -> bool:
+def corner_selection_ok(dual: RegionTable, faces) -> bool:
     """The corner rule: at most two of any vertex's corners selected."""
     fs = set(faces)
     return all(sum(c in fs for c in corners) <= 2 for corners in dual.corners.values())
@@ -142,7 +106,7 @@ def corner_selection_ok(dual: DualGraph, faces) -> bool:
 MAX_ENUM_FACES = 24
 
 
-def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
+def enumerate_red_graphs(web: Web, dual: RegionTable | None = None):
     """Yield every red graph of the web (deterministic order).
 
     Backtracks over the disk faces, each taken before it is left out,
@@ -154,7 +118,7 @@ def enumerate_red_graphs(web: Web, dual: DualGraph | None = None):
     yield from _walk_red_graphs(dual_graph(web) if dual is None else dual)
 
 
-def _face_masks(dual: DualGraph, faces):
+def _face_masks(dual: RegionTable, faces):
     """(pos, across, w, bit, nbr) for `faces` numbered by position: pos[f]
     is f's number, across[k] the numbers across face k's edges among them.
     Face k owns bit[k], the w bits from w*k up, w at least the most edges
@@ -175,7 +139,7 @@ def _face_masks(dual: DualGraph, faces):
     return pos, across, w, bit, nbr
 
 
-def _walk_red_graphs(dual: DualGraph, floor=None):
+def _walk_red_graphs(dual: RegionTable, floor=None):
     """The walk behind enumerate_red_graphs.  Given `floor`, a callable
     read afresh at every node, it builds only red graphs of index above
     floor() and skips every subtree whose bound is at most floor().
@@ -421,7 +385,7 @@ def grey_halves(red: RedGraph, face: int) -> tuple[int, ...]:
     """The loose strand ends a reduction leaves around `face`, in cyclic
     order along the face's walk.  There are exactly ed(face) of them, at
     the walk vertices having no second selected corner."""
-    region = red.dual.table.regions[face]
+    region = red.dual.regions[face]
     if region.is_circle_interior:
         return ()
     m = red.dual.darts
@@ -502,7 +466,7 @@ def g_reduction(web: Web, red: RedGraph, pairing=None) -> Web:
     # so an omitted pair of grey ends on one edge is caught by counting
     if 2 * len(pairing) != grey_total:
         raise PairingError(f"{len(pairing)} pairs for {grey_total} grey ends")
-    m.circles -= sum(1 for f in red.faces if red.dual.table.regions[f].is_circle_interior)
+    m.circles -= sum(1 for f in red.faces if red.dual.regions[f].is_circle_interior)
     m.splice(dead_vertices, pairing)
     return m.to_web()
 
@@ -594,7 +558,7 @@ def find_exact_red_graph(web: Web) -> RedGraph | None:
     scan of every red graph.
     """
     dual = dual_graph(web)
-    if _elliptic_face(dual.table) is not None:
+    if _elliptic_face(dual) is not None:
         raise ValueError("find_exact_red_graph expects a non-elliptic web")
     best = None
     top = -1  # the largest index met; each red graph walked beats the floor
@@ -659,13 +623,12 @@ def decompose(web: Web) -> Decomposition:
     remainder is left unaccounted (complete=False).  The web is
     validated once; its pieces and reductions are valid by construction.
     """
-    require_valid(web)
     factors: list[tuple[Web, int]] = []
     complete = True
-    work: list[tuple[Web, int]] = [(web, 0)]
+    work: list[tuple[Web, int, DartMap]] = [(web, 0, require_valid(web))]
     while work:
-        w, base = work.pop()
-        for piece, shift in _split_elliptic(w):
+        w, base, m = work.pop()
+        for piece, shift in _split_elliptic(w, m):
             total = base + shift
             if not piece.boundary:
                 # a closed non-elliptic web is empty; its module is the ground ring
@@ -680,6 +643,7 @@ def decompose(web: Web) -> Decomposition:
                 raise TheoremViolationError(
                     "decomposable non-elliptic web without an admissible red graph"
                 )
-            work.append((g_reduction(piece, red), total))
+            reduced = g_reduction(piece, red)
+            work.append((reduced, total, DartMap(reduced)))
     factors.sort(key=lambda f: (f[1], f[0].boundary, f[0].vertices, f[0].edges, f[0].circles))
     return Decomposition(tuple(factors), complete)

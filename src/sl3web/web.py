@@ -20,6 +20,7 @@ more vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -382,10 +383,13 @@ def _validated(web: Web):
     return problems, m, orbits, comp
 
 
-def require_valid(web: Web) -> None:
-    problems = validate(web)
+def require_valid(web: Web) -> DartMap:
+    """The web's dart map, built while validating it; raises
+    InvalidWebError when the web is invalid."""
+    problems, m, _orbits, _comp = _validated(web)
     if problems:
         raise InvalidWebError("; ".join(problems))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +414,13 @@ class Region:
 
 
 class RegionTable:
-    """Regions of a web, the dart -> region lookup, the validated dart map
-    they were read from, and the regions on the two sides of each edge."""
+    """Regions of a web, the dart -> region lookup and the validated dart
+    map they were read from; also the web's dual graph: one node per
+    region (border regions and the unbounded one included), one edge per
+    web edge between the regions on its two sides."""
 
     def __init__(self, regions: list[Region], region_of: dict[int, int], darts: DartMap, web: Web):
+        self.web = web
         self.regions = regions
         self.region_of = region_of  # web half-edge (as walk dart) -> region id
         self.darts = darts  # shared by every reader of the table; copy it before a splice
@@ -425,6 +432,32 @@ class RegionTable:
 
     def __len__(self):
         return len(self.regions)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per region: web edge sides on its boundary."""
+        return tuple(r.side_count for r in self.regions)
+
+    def degree(self, region_id: int) -> int:
+        return self.degrees[region_id]
+
+    def disk_faces(self) -> list[int]:
+        return [r.id for r in self.regions if r.is_disk]
+
+    @cached_property
+    def corners(self) -> dict[int, tuple[int, ...]]:
+        """Vertex id -> its corner regions, in rotation order."""
+        return {vid: tuple(self.region_of[h] for h in rot) for vid, _k, rot in self.web.vertices}
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per region: (edge index, region on the other side) for every
+        web edge on its boundary, in edge order."""
+        inc: list[list[tuple[int, int]]] = [[] for _ in self.regions]
+        for i, (a, b) in enumerate(self.sides):
+            inc[a].append((i, b))
+            inc[b].append((i, a))
+        return tuple(map(tuple, inc))
 
 
 def region_table(web: Web) -> RegionTable:
@@ -586,27 +619,11 @@ def face_colouring(web: Web, base: int = 0) -> FaceColouring:
 
 
 # ---------------------------------------------------------------------------
-# mirror and closure
+# closure
 
 
 def _flip_kind(kind: str) -> str:
     return SOURCE if kind == SINK else SINK
-
-
-def mirror(web: Web) -> Web:
-    """The mirror web: reflect through the border line and reverse all
-    edge orientations, then read the result back in the upper half-plane.
-
-    Combinatorially this keeps the boundary order and the rotations and
-    swaps everything orientation-related: signs, edge directions, vertex
-    kinds.  Applying it twice gives back the original web.
-    """
-    return make_web(
-        boundary=[(h, MINUS if s == PLUS else PLUS) for h, s in web.boundary],
-        vertices=[(vid, _flip_kind(k), rot) for vid, k, rot in web.vertices],
-        edges=[(h, t) for t, h in web.edges],
-        circles=web.circles,
-    )
 
 
 def closure(w1: Web, w2: Web) -> Web:

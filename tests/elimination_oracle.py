@@ -7,16 +7,39 @@ memo.  In a seeded order it picks uniformly from the digon and square
 faces sorted by (length, smallest half-edge), as the DAG does.
 `_tree_leaves` counts its leaves by (digons, circles), and
 `split_elliptic` turns them into (non-elliptic web, shift) pieces.
+`_label_arrays` numbers a web's half-edges in label order straight from
+its tuples, the reference for `bracket._arrays` on a map with no seam.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from random import Random
 
+from sl3web import bracket
 from sl3web.bracket import _count_branching, _multiplier, _smoothings
 from sl3web.errors import TheoremViolationError
 from sl3web.web import DartMap, Web, require_valid
+
+
+def _label_arrays(web: Web):
+    """bracket._arrays of DartMap(web) with no seam, read off the web's
+    tuples: successors, corners, partners (and H at the border) and the
+    number of each label, the half-edges numbered in label order."""
+    index = {h: i for i, h in enumerate(sorted(x for e in web.edges for x in e))}
+    n = len(index) + bool(web.boundary)
+    succ, corner = [n - 1] * n, [()] * n
+    for _vid, _kind, rot in web.vertices:
+        rot = tuple(index[h] for h in rot)
+        for i, h in enumerate(rot):
+            succ[h], corner[h] = rot[i + 1 - len(rot)], rot
+    partner = array("h" if n < bracket._NARROW_HALF_EDGES else "i", [-1]) * n
+    for t, h in web.edges:
+        partner[index[t]], partner[index[h]] = index[h], index[t]
+    if web.boundary:
+        partner[-1] = n - 1
+    return succ, corner, partner, index
 
 
 def _eliminate(web: Web, rng: Random | None = None):

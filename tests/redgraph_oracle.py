@@ -98,7 +98,7 @@ def find_exact_red_graph(web):
     to a minimal admissible subgraph, with the same cross-checks as
     sl3web.redgraph.find_exact_red_graph."""
     dual = dual_graph(web)
-    if _elliptic_face(dual.table) is not None:
+    if _elliptic_face(dual) is not None:
         raise ValueError("find_exact_red_graph expects a non-elliptic web")
     best = None
     max_nonneg = None

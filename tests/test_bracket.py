@@ -373,7 +373,7 @@ def test_dag_walks_the_faces_once(monkeypatch):
     for name in ("_small_faces", "_splice_face"):
         counted(name)
     monkeypatch.setattr(DartMap, "faces", lambda self: pytest.fail("a full rescan"))
-    succ, corner, partner, index = bracket_module._dart_arrays(web)
+    succ, corner, partner, index = bracket_module._arrays(DartMap(web))
     succ = _CountedReads(succ)
     leaves = bracket_module._dag_leaves(web, arrays=(succ, corner, partner, index))
     assert leaves == want
@@ -464,9 +464,32 @@ def test_dag_matches_tree_on_any_half_edge_ids(monkeypatch, typecode):
     for web in webs:
         for rename in renames:
             renamed = _renamed(web, rename)
-            assert bracket_module._dart_arrays(renamed)[2].typecode == typecode
+            assert bracket_module._arrays(DartMap(renamed))[2].typecode == typecode
             assert _dag_counts(renamed) == elimination_oracle._tree_leaves(renamed)
             assert bracket_module._evaluate(renamed) == bracket(web)
+
+
+def test_arrays_without_a_seam_number_in_label_order():
+    # _arrays(DartMap(w)) against the label-order reference built from the
+    # web's tuples: every web up to length 8, with boundary, and the
+    # closed corpus (their self-closures, flower pairings, a prism, seeded
+    # closed webs, cube, theta and two circles); successors, corners,
+    # partner bytes and typecode, and the index in number order
+    opened = [
+        web
+        for n in range(9)
+        for signs in itertools.product("+-", repeat=n)
+        if is_admissible_sequence(signs)
+        for web in generate_all_non_elliptic(signs)
+    ]
+    closed = [*_replay_corpus(), *generate_closed(200, 7041), cube(), theta(), circle_web(2)]
+    for web in opened + closed:
+        got = bracket_module._arrays(DartMap(web))
+        want = elimination_oracle._label_arrays(web)
+        assert got[:2] == want[:2]
+        assert (got[2].typecode, got[2].tobytes()) == (want[2].typecode, want[2].tobytes())
+        assert list(got[3].items()) == list(want[3].items())
+    assert sum(bool(web.boundary) for web in opened) > 1000
 
 
 def _torus_k33(digon: bool = False) -> Web:
@@ -679,8 +702,8 @@ def test_hom_poly_matches_label_order_off_the_seam():
 def test_hom_poly_without_a_seam_vertex_numbers_in_label_order():
     glued, seam = web_module._glued(digon_arc(), arc())
     assert seam == []
-    succ, corner, partner, index = bracket_module._seam_arrays(glued, seam)
-    label = bracket_module._dart_arrays(closure(digon_arc(), arc()))
+    succ, corner, partner, index = bracket_module._arrays(glued, seam)
+    label = elimination_oracle._label_arrays(closure(digon_arc(), arc()))
     assert (succ, partner, index) == (label[0], label[2], label[3])
     assert list(map(set, corner)) == list(map(set, label[1]))
 
@@ -707,7 +730,7 @@ def test_hom_poly_work_does_not_depend_on_labels(monkeypatch):
         labels = sorted({x for e in web.edges for x in e})
         shuffled = dict(zip(labels, rng.sample(labels, len(labels))))
         renamed = _renamed(web, shuffled.__getitem__)
-        arrays = [bracket_module._seam_arrays(*web_module._glued(w, w)) for w in (web, renamed)]
+        arrays = [bracket_module._arrays(*web_module._glued(w, w)) for w in (web, renamed)]
         assert arrays[0][0] == arrays[1][0] and arrays[0][2] == arrays[1][2]
         assert _branchings(monkeypatch, web, web) == _branchings(monkeypatch, renamed, renamed)
 

@@ -1,11 +1,12 @@
 """Property test: the command line never lets an exception escape.
 
-Two kinds of documents go to `validate`, `classify` and `redgraphs`:
-arbitrary JSON, and catalog webs with one seeded defect (a field
-dropped, a value of the wrong type, an unknown half-edge, two edge heads
-swapped, a boundary sign flipped).  Every call must return an exit code;
-a document the reader rejects must give exit code 2, and so must a web
-that validation rejects.
+Two kinds of documents go to every verb that reads a web file
+(`validate`, `bracket`, `classify`, `redgraphs`, `decompose` and the
+three kinds of `export`): arbitrary JSON, and catalog webs with one
+seeded defect (a field dropped, a value of the wrong type, an unknown
+half-edge, two edge heads swapped, a boundary sign flipped).  Every call
+must return an exit code; a document the reader rejects must give exit
+code 2, and so must a web that validation rejects.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from random import Random
 
 import pytest
@@ -22,10 +24,20 @@ from hypothesis import strategies as st
 from sl3web import catalog
 from sl3web.cli import main
 from sl3web.errors import InvalidWebError
-from sl3web.io import load_web, web_to_json
+from sl3web.io import load_web, loads_web, web_to_json
 from sl3web.web import validate
 
-VERBS = ("validate", "classify", "redgraphs")
+# each call's argv with the file left out: the verb, then its options
+VERBS = (
+    ("validate",),
+    ("bracket",),
+    ("classify",),
+    ("redgraphs",),
+    ("decompose",),
+    ("export",),
+    ("export", "--dot", os.devnull),
+    ("export", "--kind", "dual"),
+)
 CATALOG = [
     catalog.circle_web(2),
     catalog.arc(),
@@ -106,10 +118,10 @@ def _check(path: str, text: str) -> None:
         rejected = bool(validate(web))
     except InvalidWebError:
         rejected = True
-    for verb in VERBS:
+    for verb, *options in VERBS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([verb, path])
+            code = main([verb, path, *options])
         assert isinstance(code, int), (verb, text)
         if rejected:
             assert code == 2, (verb, text, err.getvalue())
@@ -130,3 +142,14 @@ def test_cli_survives_random_json(path, doc):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_cli_survives_mutated_catalog_webs(path, seed):
     _check(path, json.dumps(_mutant(seed)))
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_cli_rejects_pinned_invalid_mutants(path, seed):
+    # seed 1: an invalid web with boundary, which `bracket` once called a
+    # precondition (exit 3); seed 4: an edge to the unknown half-edge 9,
+    # which `export` once wrote out (exit 0) and `export --dot` crashed
+    # on with a KeyError
+    text = json.dumps(_mutant(seed))
+    assert validate(loads_web(text))  # read, then rejected by validation
+    _check(path, text)

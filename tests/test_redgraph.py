@@ -87,7 +87,7 @@ def test_dual_graph_shape():
 
 def test_dual_degree_table_counts_edge_sides():
     dual = flower_dual()
-    for r in dual.table.regions:
+    for r in dual.regions:
         assert dual.degree(r.id) == sum((a == r.id) + (b == r.id) for a, b in dual.sides)
 
 
@@ -654,8 +654,8 @@ def test_walk_rejects_a_face_on_both_sides_of_an_edge():
     dual = flower_dual()
     face = dual.disk_faces()[0]
     # a dual graph claiming that a disk face lies on both sides of edge 0
-    sides = ((face, face),) + dual.sides[1:]
-    bad = sl3web.redgraph.DualGraph(dual.web, dual.table, sides, dual.corners, dual.degrees)
+    bad = dual_graph(dual.web)
+    bad.sides = ((face, face),) + dual.sides[1:]
     # a floor that no red graph beats: the walk takes no face at all
     for walk in (enumerate_red_graphs(bad.web, bad), _walk_red_graphs(bad, lambda: 10**6)):
         with pytest.raises(AssertionError, match="both sides"):

@@ -34,7 +34,6 @@ from sl3web.web import (
     is_boundary_connected,
     is_non_elliptic,
     make_web,
-    mirror,
     region_table,
     regions,
     require_valid,
@@ -213,21 +212,7 @@ def test_boundary_connectivity_builds_no_dart_map(monkeypatch):
     assert not is_boundary_connected(apart)
 
 
-# -- mirror and closure --------------------------------------------------------
-
-
-@pytest.mark.parametrize("build", [arc, tripod, digon_arc, flower])
-def test_mirror_involution(build):
-    w = build()
-    m = mirror(w)
-    assert validate(m) == []
-    assert m.signs == tuple("-" if s == "+" else "+" for s in w.signs)
-    assert mirror(m) == w
-
-
-def test_mirror_flips_kinds():
-    m = mirror(tripod())
-    assert all(kind == SOURCE for _id, kind, _rot in m.vertices)
+# -- closure --------------------------------------------------------------
 
 
 def test_closure_arc_is_circle():
@@ -266,7 +251,8 @@ def test_closure_rejects_mismatch():
     with pytest.raises(BoundaryMismatchError):
         closure(arc(), tripod())
     with pytest.raises(BoundaryMismatchError):
-        closure(arc(), mirror(arc()))
+        # the arc with its signs flipped and its edge reversed
+        closure(arc(), make_web([(100, MINUS), (101, PLUS)], edges=[(101, 100)]))
 
 
 # -- face colouring -------------------------------------------------------------
